@@ -13,7 +13,7 @@ from kquadric import (
     check_connection_involution,
     check_three_independence,
 )
-from kquadric.linalg import smith_invariant_factors
+from kquadric.linalg import spans_full_lattice
 
 
 def describe(n):
@@ -34,7 +34,7 @@ def describe(n):
     print(f"connection involution: {check_connection_involution(ctx.graph, ctx.connection)}")
 
     rows = [ctx.graph.axial(*e) for e in ctx.graph.edges_from(1)]
-    print(f"Smith invariants of the weights at vertex 1: {smith_invariant_factors(rows)}")
+    print(f"weights at vertex 1 span Z^{ctx.m}: {spans_full_lattice(rows, ctx.m)}")
 
     # The derived connection in action: transport the edges at 1 along (1, 2).
     print("transport along (1, 2):")

@@ -35,7 +35,6 @@ from .gkm import (
     is_k_class,
 )
 from .laurent import (
-    LatticeQuotient,
     LaurentPolynomial,
     NonDivisibleError,
     ParseError,

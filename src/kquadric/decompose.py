@@ -11,8 +11,9 @@ with coefficients h_k in the Laurent ring, over the canonical basis
     B_k = Thom class of {k, k+1, ..., 2n+2}               for k = n+2..2n+2.
 
 The basis is lower triangular for the vertex order (B_k vanishes at vertices
-below k) with nonzero diagonal values B_k(k), each a product of binomials
-1 - y^alpha known symbolically from the construction.  `decompose` peels the
+below k) with nonzero diagonal values B_k(k), each the product of binomials
+1 - y^alpha over the weights alpha of the edges from k down to its lower
+neighbours (the flow-up condition).  `decompose` peels the
 coefficients off vertex by vertex: h_k is the exact quotient of the running
 residual at vertex k by those diagonal binomials, and subtracting h_k * B_k
 zeroes the vertex.  Division failure at stage k certifies that the input was
@@ -62,37 +63,23 @@ class CanonicalBasis:
 
 def canonical_basis(ctx: QuadricGraph) -> CanonicalBasis:
     n = ctx.n
-    classes: list[VertexMap] = []
-    factors: list[tuple[tuple[int, ...], ...]] = []
     one_map = VertexMap.constant(ctx.vertices, one(ctx.m))
-
-    classes.append(one_map)
-    factors.append(())
+    classes: list[VertexMap] = [one_map]
 
     running = one_map
     for k in range(2, n + 2):
         running = running * (one_map - monomial_class(ctx, k - 1))
         classes.append(running)
-        h_k = ctx.vertex_weight(k)
-        factors.append(
-            tuple(
-                tuple(a - b for a, b in zip(ctx.vertex_weight(i), h_k))
-                for i in range(1, k)
-            )
-        )
 
     for k in range(n + 2, 2 * n + 3):
         members = frozenset(range(k, 2 * n + 3))
         classes.append(thom_class(ctx, members))
-        h_k = ctx.vertex_weight(k)
-        factors.append(
-            tuple(
-                tuple(a - b for a, b in zip(ctx.vertex_weight(j), h_k))
-                for j in range(1, k)
-                if j != ctx.antipode(k)
-            )
-        )
 
+    graph = ctx.graph
+    factors = [
+        tuple(graph.axial(k, j) for j in range(1, k) if graph.has_edge(k, j))
+        for k in ctx.vertices
+    ]
     return CanonicalBasis(tuple(classes), tuple(factors))
 
 
@@ -129,10 +116,12 @@ def decompose(ctx: QuadricGraph, f: VertexMap, basis: CanonicalBasis | None = No
     """The unique coefficients of a K-class over the canonical basis.
 
     Processes vertices 1, 2, ..., 2n+2 in order; at stage k the residual is
-    zero below vertex k (asserted), its value at k is divided exactly by the
-    binomial factors of B_k(k), and h_k * B_k is subtracted.  Raises
-    NotAKClassError (naming the stage and the failing edges) when a division
-    fails; that happens precisely for non-K-classes.
+    zero below vertex k, its value at k is divided exactly by the binomial
+    factors of B_k(k), and h_k * B_k is subtracted.  Raises NotAKClassError
+    (naming the stage and the failing edges) when a division fails; that
+    happens precisely for non-K-classes.  Raises RuntimeError, naming the
+    stage, if the basis breaks the triangular invariant (possible only for a
+    caller-supplied basis that is not the canonical one).
     """
     if f.vertices() != tuple(ctx.vertices):
         raise ValueError("vertex map does not cover exactly the graph's vertices")
@@ -143,9 +132,8 @@ def decompose(ctx: QuadricGraph, f: VertexMap, basis: CanonicalBasis | None = No
     residual = f
     coefficients = []
     for k in ctx.vertices:
-        assert all(
-            residual[l].is_zero() for l in range(1, k)
-        ), f"residual not triangular at stage {k}"
+        if not all(residual[l].is_zero() for l in range(1, k)):
+            raise RuntimeError(f"residual not triangular at stage {k}")
         try:
             h_k = div_exact_product(residual[k], basis.diagonal_factors[k - 1])
         except NonDivisibleError as exc:
@@ -159,7 +147,8 @@ def decompose(ctx: QuadricGraph, f: VertexMap, basis: CanonicalBasis | None = No
         coefficients.append(h_k)
         if not h_k.is_zero():
             residual = residual - basis.classes[k - 1] * h_k
-    assert residual.is_zero(), "nonzero terminal remainder after full peel"
+    if not residual.is_zero():
+        raise RuntimeError(f"nonzero terminal remainder after stage {ctx.vertex_count}")
     return Decomposition(tuple(coefficients))
 
 

@@ -10,25 +10,20 @@ between threads or tasks.
 Besides the ring operations the module provides the two division primitives
 everything downstream is built on:
 
-* ``divisible_by_binomial(g, alpha)`` decides g ∈ (1 - y^alpha)·R exactly, by
-  bucketing coefficients over the cosets of Z·alpha in Z^m (the quotient by
-  the binomial ideal is the group ring of Z^m / Z·alpha, so a sum is in the
-  ideal iff every coset bucket sums to zero).
-* ``div_exact_binomial(g, alpha)`` produces the exact quotient by leading-term
-  elimination under the linear functional e -> alpha·e (ties broken
-  lexicographically), which is positive on alpha itself.
+* ``divisible_by_binomial(g, alpha)`` decides g ∈ (1 - y^alpha)·R exactly
+  (the quotient by the binomial ideal is the group ring of Z^m / Z·alpha, so
+  g is in the ideal iff its coefficients sum to zero over every coset);
+* ``div_exact_binomial(g, alpha)`` produces the exact quotient, which along
+  each coset is the running sum of g's coefficients.
 
-Both support non-primitive alpha; the coset projection carries the torsion
-component explicitly.
+Both rest on one pass that buckets the terms of g by coset of Z·alpha: the
+coset of e is keyed by e - t·alpha with t = ⌊alpha·e / alpha·alpha⌋, one
+integer floor division per term, which is also right for non-primitive alpha.
 """
 from __future__ import annotations
 
 import json
-from functools import lru_cache
-from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
-
-from .linalg import xgcd
 
 Exponent = tuple[int, ...]
 
@@ -272,60 +267,6 @@ def one_minus_monomial(alpha: Iterable[int]) -> LaurentPolynomial:
     return one(len(alpha)) - monomial(alpha)
 
 
-# -- coset projection for the binomial ideal ---------------------------------
-
-
-class LatticeQuotient:
-    """Computable projection Z^m -> Z^m / Z·alpha for a nonzero integer vector.
-
-    A unimodular change of basis U with U·alpha = (g, 0, ..., 0) (g = gcd of the
-    entries of alpha) is computed once; two exponents are congruent modulo
-    Z·alpha iff their U-images agree in coordinates 2..m and modulo g in the
-    first.  Torsion (non-primitive alpha, g > 1) is handled by that residue.
-    """
-
-    __slots__ = ("alpha", "m", "gcd", "_rows")
-
-    def __init__(self, alpha: Iterable[int]):
-        alpha = _check_exponent(alpha)
-        if not any(alpha):
-            raise ValueError("invalid divisor: alpha must be a nonzero vector")
-        m = len(alpha)
-        rows = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        current = list(alpha)
-        for k in range(1, m):
-            if current[k] == 0:
-                continue
-            g, s, t = xgcd(current[0], current[k])
-            a0, ak = current[0] // g, current[k] // g
-            row0 = [s * x + t * y for x, y in zip(rows[0], rows[k])]
-            rowk = [-ak * x + a0 * y for x, y in zip(rows[0], rows[k])]
-            rows[0], rows[k] = row0, rowk
-            current[0], current[k] = g, 0
-        if current[0] < 0:
-            rows[0] = [-x for x in rows[0]]
-            current[0] = -current[0]
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "gcd", current[0])
-        object.__setattr__(self, "_rows", tuple(tuple(r) for r in rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticeQuotient is immutable")
-
-    def project(self, e: Iterable[int]) -> tuple[int, ...]:
-        """Canonical coset key: project(e) == project(e') iff e - e' ∈ Z·alpha."""
-        e = _check_exponent(e, self.m)
-        rows = self._rows
-        first = sum(a * b for a, b in zip(rows[0], e)) % self.gcd
-        return (first,) + tuple(sum(a * b for a, b in zip(row, e)) for row in rows[1:])
-
-
-@lru_cache(maxsize=None)
-def _quotient_for(alpha: Exponent) -> LatticeQuotient:
-    return LatticeQuotient(alpha)
-
-
 # -- divisibility and exact division ------------------------------------------
 
 
@@ -336,6 +277,26 @@ def _checked_alpha(alpha, m: int) -> Exponent:
     return alpha
 
 
+def _coset_buckets(g: LaurentPolynomial, alpha: Exponent) -> dict[Exponent, list[tuple[int, int]]]:
+    """The terms of g grouped by coset of Z·alpha, as lists of (t, coefficient).
+
+    The key of e is the representative e - t·alpha with t = ⌊alpha·e / alpha·alpha⌋.
+    Adding alpha to e adds exactly 1 to t, so two exponents share a key iff
+    their difference lies in Z·alpha; this holds for non-primitive alpha too.
+    """
+    norm = sum(a * a for a in alpha)
+    buckets: dict[Exponent, list[tuple[int, int]]] = {}
+    for e, c in g._terms.items():
+        t = sum(a * x for a, x in zip(alpha, e)) // norm
+        rep = tuple([x - t * a for x, a in zip(e, alpha)]) if t else e
+        buckets.setdefault(rep, []).append((t, c))
+    return buckets
+
+
+def _all_cancel(buckets: dict[Exponent, list[tuple[int, int]]]) -> bool:
+    return not any(sum(c for _, c in bucket) for bucket in buckets.values())
+
+
 def divisible_by_binomial(g: LaurentPolynomial, alpha: Iterable[int]) -> bool:
     """True iff g lies in the ideal (1 - y^alpha).
 
@@ -344,65 +305,31 @@ def divisible_by_binomial(g: LaurentPolynomial, alpha: Iterable[int]) -> bool:
     group ring of Z^m / Z·alpha.
     """
     alpha = _checked_alpha(alpha, g.m)
-    project = _quotient_for(alpha).project
-    sums: dict[tuple[int, ...], int] = {}
-    get = sums.get
-    for e, c in g._terms.items():
-        key = project(e)
-        sums[key] = get(key, 0) + c
-    return all(v == 0 for v in sums.values())
+    return _all_cancel(_coset_buckets(g, alpha))
 
 
 def div_exact_binomial(g: LaurentPolynomial, alpha: Iterable[int]) -> LaurentPolynomial:
     """The exact quotient q with (1 - y^alpha) * q == g.
 
-    Leading-term elimination under lambda(e) = alpha·e, ties broken by taking
-    the lexicographically largest exponent.  Each step cancels the
-    lambda-maximal remainder term c*y^e against -(-c)*y^(e-alpha)*y^alpha and
-    pushes the matching correction c*y^(e-alpha) back into the remainder.
-    Raises NonDivisibleError once the remainder's lambda-maximum falls below
-    min(lambda over supp(g)) - lambda(alpha), which a divisible input can
-    never reach.
+    Within one coset bucket, the coefficient of g at rep + t·alpha is
+    q(t) - q(t - 1), so q at rep + s·alpha is the sum of the bucket's
+    coefficients over t <= s; it is nonzero only for s from the bucket's least
+    t up to, not including, its greatest.  Raises NonDivisibleError, before
+    any quotient term is built, when some bucket does not sum to zero.
     """
     alpha = _checked_alpha(alpha, g.m)
-    if g.is_zero():
-        return zero(g.m)
-    lam_alpha = sum(a * a for a in alpha)
-
-    def lam(e: Exponent) -> int:
-        return sum(a * x for a, x in zip(alpha, e))
-
-    cutoff = min(lam(e) for e in g._terms) - lam_alpha
-    remainder = dict(g._terms)
-    heap = [(-lam(e), tuple(-x for x in e), e) for e in remainder]
-    heapify(heap)
+    buckets = _coset_buckets(g, alpha)
+    if not _all_cancel(buckets):
+        raise NonDivisibleError(f"{g} is not divisible by 1 - y^{list(alpha)}")
     quotient: dict[Exponent, int] = {}
-    while heap:
-        neg_l, _, e = heappop(heap)
-        c = remainder.get(e)
-        if c is None:
-            continue  # stale entry
-        if -neg_l < cutoff:
-            raise NonDivisibleError(
-                f"{g} is not divisible by 1 - y^{list(alpha)}"
-            )
-        del remainder[e]
-        d = tuple(x - a for x, a in zip(e, alpha))
-        qv = quotient.get(d, 0) - c
-        if qv:
-            quotient[d] = qv
-        elif d in quotient:
-            del quotient[d]
-        prev = remainder.get(d)
-        if prev is None:
-            remainder[d] = c
-            heappush(heap, (neg_l + lam_alpha, tuple(-x for x in d), d))
-        else:
-            nv = prev + c
-            if nv:
-                remainder[d] = nv
-            else:
-                del remainder[d]
+    for rep, bucket in buckets.items():
+        bucket.sort()
+        running = 0
+        for (t, c), (t_next, _) in zip(bucket, bucket[1:]):
+            running += c
+            if running:
+                for s in range(t, t_next):
+                    quotient[tuple([x + s * a for x, a in zip(rep, alpha)])] = running
     return LaurentPolynomial._raw(g.m, quotient)
 
 

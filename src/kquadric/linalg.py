@@ -1,4 +1,4 @@
-"""Exact integer linear algebra helpers: gcd, rank, Smith invariant factors.
+"""Exact integer linear algebra helpers: rank, determinant, lattice spanning.
 
 Everything here works on plain Python integers, so there is no overflow and no
 floating point anywhere.  Matrices are given as sequences of equal-length rows.
@@ -7,21 +7,6 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import gcd
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def integer_rank(rows) -> int:
@@ -70,38 +55,18 @@ def det(rows) -> int:
     return sign * mat[-1][-1]
 
 
-def smith_invariant_factors(rows) -> list[int]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+def spans_full_lattice(rows, m: int) -> bool:
+    """True iff the integer row vectors of length m generate all of Z^m.
 
-    Computed through determinantal divisors: d_1 * ... * d_k equals the gcd of
-    all k x k minors.  The matrices appearing here are tiny, and the usual
-    `g == 1` early exit makes the minor sweep cheap in the common all-ones case.
+    That holds exactly when the m x m minors have gcd 1, which also forces
+    rank m.
     """
     rows = [tuple(row) for row in rows]
-    if not rows:
-        return []
-    n_rows, n_cols = len(rows), len(rows[0])
-    rank = integer_rank(rows)
-    factors = []
-    previous = 1
-    for k in range(1, rank + 1):
-        g = 0
-        for row_sel in combinations(range(n_rows), k):
-            for col_sel in combinations(range(n_cols), k):
-                sub = [[rows[i][j] for j in col_sel] for i in row_sel]
-                g = gcd(g, det(sub))
-                if g == 1:
-                    break
-            if g == 1:
-                break
-        factors.append(g // previous)
-        previous = g
-    return factors
-
-
-def spans_full_lattice(rows, m: int) -> bool:
-    """True iff the integer row vectors generate all of Z^m as a lattice."""
-    rows = [tuple(row) for row in rows]
-    if integer_rank(rows) < m:
-        return False
-    return all(f == 1 for f in smith_invariant_factors(rows))
+    if any(len(row) != m for row in rows):
+        raise ValueError(f"every row must have length {m}")
+    g = 0
+    for selection in combinations(rows, m):
+        g = gcd(g, det(selection))
+        if g == 1:
+            return True
+    return False

@@ -132,6 +132,14 @@ class QuadricGraph:
         return f"QuadricGraph(n={self.n})"
 
 
+def _antipodal_exponent(ctx: QuadricGraph, k: int) -> Weight:
+    """The exponent of y_n * y_{n+1}^-1 * f(k)^-2."""
+    e = [-2 * x for x in ctx.vertex_weight(k)]
+    e[ctx.n - 1] += 1
+    e[ctx.n] -= 1
+    return tuple(e)
+
+
 def monomial_class(ctx: QuadricGraph, v: int, inverted: bool = False) -> VertexMap:
     """The monomial-valued generator class attached to vertex v (or its inverse).
 
@@ -147,11 +155,7 @@ def monomial_class(ctx: QuadricGraph, v: int, inverted: bool = False) -> VertexM
         if l == v:
             exponent = (0,) * ctx.m
         elif l == v_bar:
-            # y_n * y_{n+1}^-1 * f(antipode(v))^-2
-            e = [0] * ctx.m
-            e[ctx.n - 1] += 1
-            e[ctx.n] -= 1
-            exponent = tuple(a - 2 * b for a, b in zip(e, ctx.vertex_weight(v_bar)))
+            exponent = _antipodal_exponent(ctx, v_bar)
         else:
             exponent = tuple(a - b for a, b in zip(h_v, ctx.vertex_weight(l)))
         if inverted:
@@ -186,13 +190,7 @@ def thom_class(ctx: QuadricGraph, members: Iterable[int]) -> VertexMap:
 def antipodal_product_class(ctx: QuadricGraph) -> VertexMap:
     """The common product of the monomial class at v with the one at antipode(v):
     value y_n * y_{n+1}^-1 * f(k)^-2 at each vertex k."""
-    values = {}
-    for k in ctx.vertices:
-        e = [0] * ctx.m
-        e[ctx.n - 1] += 1
-        e[ctx.n] -= 1
-        values[k] = monomial(tuple(a - 2 * b for a, b in zip(e, ctx.vertex_weight(k))))
-    return VertexMap(values)
+    return VertexMap({k: monomial(_antipodal_exponent(ctx, k)) for k in ctx.vertices})
 
 
 def supported_class(ctx: QuadricGraph, members: Iterable[int]) -> VertexMap:

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kquadric
 from kquadric.decompose import (
     Decomposition,
     NotAKClassError,
@@ -118,6 +123,27 @@ def test_decompose_rejects_non_k_class(q1):
     assert err.value.stage >= 1
     assert (1, 2) in err.value.failing_edges
     assert (1, 3) in err.value.failing_edges
+
+
+def test_broken_basis_raises_under_optimize():
+    # The triangular invariant must hold under `python -O`, which strips asserts.
+    script = """
+from dataclasses import replace
+from kquadric import QuadricGraph, canonical_basis, decompose, monomial_class
+ctx = QuadricGraph(2)
+basis = replace(canonical_basis(ctx), diagonal_factors=((),) * ctx.vertex_count)
+decompose(ctx, monomial_class(ctx, 1), basis)
+"""
+    src = str(Path(kquadric.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert result.returncode == 1
+    assert "RuntimeError: residual not triangular at stage 3" in result.stderr
 
 
 def test_decompose_validates_shape(q1, q2):

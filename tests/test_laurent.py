@@ -2,9 +2,11 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from kquadric.gkm import integer_multiple_of
 from kquadric.laurent import (
-    LatticeQuotient,
     LaurentPolynomial,
     NonDivisibleError,
     ParseError,
@@ -316,7 +318,14 @@ def test_division_success_iff_divisible():
     assert agree > 0  # some random inputs do divide (e.g. the zero polynomial)
 
 
-# -- lattice quotient ---------------------------------------------------------------
+# -- cosets of Z*alpha -----------------------------------------------------------
+#
+# y^e - y^f is divisible by 1 - y^alpha exactly when e - f lies in Z*alpha, so
+# these tests state the coset structure through the public division API.
+
+
+def same_coset(e, f, alpha):
+    return divisible_by_binomial(monomial(e) - monomial(f), alpha)
 
 
 def test_projection_constant_on_cosets():
@@ -325,42 +334,36 @@ def test_projection_constant_on_cosets():
         alpha = (0, 0, 0)
         while not any(alpha):
             alpha = tuple(rng.randint(-3, 3) for _ in range(3))
-        lq = LatticeQuotient(alpha)
         e = tuple(rng.randint(-5, 5) for _ in range(3))
         k = rng.randint(-4, 4)
         shifted = tuple(x + k * a for x, a in zip(e, alpha))
-        assert lq.project(e) == lq.project(shifted)
+        assert same_coset(e, shifted, alpha)
 
 
 def test_projection_separates_non_cosets():
-    lq = LatticeQuotient((1, 0))
-    assert lq.project((0, 0)) != lq.project((0, 1))
-    assert lq.project((0, 0)) == lq.project((7, 0))
+    assert not same_coset((0, 0), (0, 1), (1, 0))
+    assert same_coset((0, 0), (7, 0), (1, 0))
 
 
 def test_projection_equality_iff_coset_membership():
-    from kquadric.gkm import integer_multiple_of
-
     rng = random.Random(13)
     for _ in range(200):
         alpha = (0, 0, 0)
         while not any(alpha):
             alpha = tuple(rng.randint(-2, 2) for _ in range(3))
-        lq = LatticeQuotient(alpha)
         e = tuple(rng.randint(-3, 3) for _ in range(3))
         f = tuple(rng.randint(-3, 3) for _ in range(3))
         diff = tuple(a - b for a, b in zip(e, f))
         in_line = integer_multiple_of(diff, alpha) is not None
-        assert (lq.project(e) == lq.project(f)) == in_line
+        assert same_coset(e, f, alpha) == in_line
 
 
 def test_projection_torsion_for_non_primitive_alpha():
     # (1,1) - (0,0) lies in Q*(2,2) but not Z*(2,2): different cosets.
-    lq = LatticeQuotient((2, 2))
-    assert lq.gcd == 2
-    assert lq.project((1, 1)) != lq.project((0, 0))
-    assert lq.project((1, 1)) == lq.project((-1, -1))
-    assert lq.project((0, 0)) == lq.project((2, 2))
+    assert same_coset((1, 1), (0, 0), (1, 1))
+    assert not same_coset((1, 1), (0, 0), (2, 2))
+    assert same_coset((1, 1), (-1, -1), (2, 2))
+    assert same_coset((0, 0), (2, 2), (2, 2))
 
 
 def test_divisibility_with_non_primitive_alpha():
@@ -369,6 +372,41 @@ def test_divisibility_with_non_primitive_alpha():
     assert divisible_by_binomial(g, alpha)
     assert not divisible_by_binomial(one_minus_monomial((1, 1)), alpha)
     assert div_exact_binomial(g, alpha) == one(2)
+
+
+BIG = 10**12
+
+
+@st.composite
+def labelled_division_cases(draw):
+    """(alpha, q, e, c), labelled by construction: (1 - y^alpha) * q divides
+    back to q, and adding c * y^e with c != 0 makes it indivisible."""
+    m = draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+    vector = st.tuples(*[entry] * m)
+    scale = draw(st.integers(1, 3))  # alpha is non-primitive whenever scale > 1
+    alpha = tuple(scale * a for a in draw(vector.filter(any)))
+    q = LaurentPolynomial(m, draw(st.dictionaries(vector, st.integers(-5, 5), max_size=6)))
+    e = draw(vector)
+    c = draw(st.integers(-5, 5).filter(bool))
+    return alpha, q, e, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_division_cases())
+# Non-primitive alpha and negative alpha·e.
+@example(((2, 2), LaurentPolynomial(2, {(-BIG, 3): 4, (5, -7): -1}), (-BIG, -1), 3))
+# Exponents past 2**53, where a floating-point floor would split a coset.
+@example(((1, 0), monomial((10**20 + 1, 0)), (0, 1), 1))
+def test_division_of_constructed_multiples(case):
+    alpha, q, e, c = case
+    g = one_minus_monomial(alpha) * q
+    assert divisible_by_binomial(g, alpha)
+    assert div_exact_binomial(g, alpha) == q
+    h = g + monomial(e, c)
+    assert not divisible_by_binomial(h, alpha)
+    with pytest.raises(NonDivisibleError):
+        div_exact_binomial(h, alpha)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -85,6 +85,8 @@ def test_axial_values_span_lattice():
         for v in ctx.vertices:
             rows = [ctx.graph.axial(*e) for e in ctx.graph.edges_from(v)]
             assert spans_full_lattice(rows, ctx.m)
+    assert not spans_full_lattice([(2, 0), (0, 1)], 2)  # full rank, index 2
+    assert not spans_full_lattice([(1, 0)], 2)  # rank 1
 
 
 # -- vertex characters ---------------------------------------------------------------
