@@ -18,7 +18,6 @@ from kquadric import (
     one,
     random_k_class,
     recompose,
-    restrict_at,
     thom_class,
     verify_free_module,
     zero,
@@ -55,7 +54,7 @@ except NotAKClassError as exc:
 print("\nvertex restriction (the localization embedding):")
 ratio = monomial_class(ctx, 2) * monomial_class(ctx, 1, inverted=True)
 print("  M_2 * M_1^-1 restricted at each vertex:",
-      [str(restrict_at(ctx, ratio, v)) for v in ctx.vertices])
+      [str(ratio[v]) for v in ctx.vertices])
 
 print("\nseeded certification sweep at n = 2:")
 ctx2 = QuadricGraph(2)

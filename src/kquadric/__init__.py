@@ -16,7 +16,6 @@ from .decompose import (
     localization_index_set,
     random_k_class,
     recompose,
-    restrict_at,
     verify_free_module,
 )
 from .gkm import (
@@ -55,7 +54,6 @@ from .quadric import (
     QuadricGraph,
     antipodal_product_class,
     monomial_class,
-    supported_class,
     thom_class,
     vertex_map_from_json_dict,
     vertex_map_to_json_dict,

@@ -30,12 +30,11 @@ from .quadric import (
     QuadricGraph,
     antipodal_product_class,
     monomial_class,
-    supported_class,
     thom_class,
     vertex_map_from_json_dict,
     vertex_map_to_json_dict,
 )
-from .relations import ALL_KINDS, verify_all
+from .relations import ALL_KINDS, ClassProvider, verify_all
 
 
 class UsageError(Exception):
@@ -98,7 +97,7 @@ def _cmd_gen(args) -> int:
     elif kind == "F":
         if args.subset is None:
             raise UsageError("--class F requires --subset")
-        vm = supported_class(ctx, _parse_subset(args.subset))
+        vm = ClassProvider(ctx).supported(_parse_subset(args.subset))
     elif kind == "X":
         vm = antipodal_product_class(ctx)
     elif kind == "basis":

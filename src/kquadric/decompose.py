@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .gkm import VertexMap, is_k_class
 from .laurent import (
@@ -68,7 +69,7 @@ def canonical_basis(ctx: QuadricGraph) -> CanonicalBasis:
 
     running = one_map
     for k in range(2, n + 2):
-        running = running * (one_map - monomial_class(ctx, k - 1))
+        running = running * (1 - monomial_class(ctx, k - 1))
         classes.append(running)
 
     for k in range(n + 2, 2 * n + 3):
@@ -81,6 +82,12 @@ def canonical_basis(ctx: QuadricGraph) -> CanonicalBasis:
         for k in ctx.vertices
     ]
     return CanonicalBasis(tuple(classes), tuple(factors))
+
+
+@lru_cache(maxsize=None)
+def _shared_basis(n: int) -> CanonicalBasis:
+    """The canonical basis at n, built once: QuadricGraph(n) depends only on n."""
+    return canonical_basis(QuadricGraph(n))
 
 
 @dataclass(frozen=True)
@@ -121,14 +128,15 @@ def decompose(ctx: QuadricGraph, f: VertexMap, basis: CanonicalBasis | None = No
     (naming the stage and the failing edges) when a division fails; that
     happens precisely for non-K-classes.  Raises RuntimeError, naming the
     stage, if the basis breaks the triangular invariant (possible only for a
-    caller-supplied basis that is not the canonical one).
+    caller-supplied basis that is not the canonical one).  Without `basis`,
+    the canonical basis of `ctx.n` is built once and reused.
     """
     if f.vertices() != tuple(ctx.vertices):
         raise ValueError("vertex map does not cover exactly the graph's vertices")
     if f.m != ctx.m:
         raise ValueError(f"vertex map has {f.m} variables, expected {ctx.m}")
     if basis is None:
-        basis = canonical_basis(ctx)
+        basis = _shared_basis(ctx.n)
     residual = f
     coefficients = []
     for k in ctx.vertices:
@@ -162,20 +170,12 @@ def recompose(ctx: QuadricGraph, coefficients, basis: CanonicalBasis | None = No
             f"expected {ctx.vertex_count} coefficients, got {len(coefficients)}"
         )
     if basis is None:
-        basis = canonical_basis(ctx)
+        basis = _shared_basis(ctx.n)
     result = VertexMap.constant(ctx.vertices, zero(ctx.m))
     for h_k, b_k in zip(coefficients, basis.classes):
         if not h_k.is_zero():
             result = result + b_k * h_k
     return result
-
-
-def restrict_at(ctx: QuadricGraph, f: VertexMap, v: int) -> LaurentPolynomial:
-    """The value at one vertex: the v-th component of the embedding of the
-    K-ring into a direct sum of Laurent rings (vertex values determine the class)."""
-    if not 1 <= v <= ctx.vertex_count:
-        raise ValueError(f"vertex {v} out of range 1..{ctx.vertex_count}")
-    return f[v]
 
 
 def localization_index_set(ctx: QuadricGraph, v: int) -> tuple[int, ...]:

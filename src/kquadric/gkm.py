@@ -200,10 +200,6 @@ class VertexMap:
 
     __rmul__ = __mul__
 
-    def scale(self, p: LaurentPolynomial | int) -> "VertexMap":
-        """Pointwise product with a ring element (the module structure)."""
-        return self * p
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, VertexMap):
             return NotImplemented

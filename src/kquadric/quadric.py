@@ -20,9 +20,8 @@ assembled:
   running over the vertices k outside P other than antipode(l);
 * the antipodal product class, the common value of (monomial class at v) *
   (monomial class at antipode(v));
-* the supported class of an index set J, which is 1 - (monomial class at v)
-  when J omits exactly the vertex v, and the Thom class of J when J is
-  admissible.
+* the supported classes of the relation suite, 1 - (monomial class at v) or
+  a Thom class, which `relations.ClassProvider` assembles from the above.
 """
 from __future__ import annotations
 
@@ -191,22 +190,6 @@ def antipodal_product_class(ctx: QuadricGraph) -> VertexMap:
     """The common product of the monomial class at v with the one at antipode(v):
     value y_n * y_{n+1}^-1 * f(k)^-2 at each vertex k."""
     return VertexMap({k: monomial(_antipodal_exponent(ctx, k)) for k in ctx.vertices})
-
-
-def supported_class(ctx: QuadricGraph, members: Iterable[int]) -> VertexMap:
-    """The class supported inside `members`: 1 - (monomial class at v) when
-    `members` omits exactly one vertex v, the Thom class when `members` is
-    admissible.  Anything else is rejected."""
-    members = frozenset(members)
-    everything = frozenset(ctx.vertices)
-    if len(members) == ctx.vertex_count - 1 and members < everything:
-        (v,) = everything - members
-        return VertexMap.constant(ctx.vertices, one(ctx.m)) - monomial_class(ctx, v)
-    if ctx.is_admissible(members):
-        return thom_class(ctx, members)
-    raise ValueError(
-        f"{sorted(members)} is neither the complement of a single vertex nor admissible"
-    )
 
 
 # -- vertex-map serialization --------------------------------------------------

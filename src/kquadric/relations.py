@@ -1,10 +1,11 @@
 """The relation families among the generator classes, verified exactly.
 
-Four families are checked as identities of vertex maps (integer-exact, no
-tolerance anywhere):
+Four families are checked (integer-exact, no tolerance anywhere):
 
 1. product vanishing: the product of supported classes over any family of
-   index sets with empty intersection is the zero map;
+   index sets with empty intersection is the zero map.  Values multiply in
+   the integral domain Z[y^±1], so this holds iff the factors' zero sets
+   cover every vertex, and that is what is checked;
 2. complete-set split: for an admissible I of size n, the product of
    1 - (monomial class at i) over I equals the Thom class of the complement
    minus one spare pole, plus the monomial class at that pole times the Thom
@@ -15,7 +16,8 @@ tolerance anywhere):
    antipode(v)) is the same map for every v;
 
 plus the generator identity that recovers each ring variable y_i as
-(monomial class at i+1) * (inverse monomial class at 1).
+(monomial class at i+1) * (inverse monomial class at 1).  Families 2-4 and
+the generator identities are identities of vertex maps.
 
 `verify_all` sweeps every instance of 2-4 and the generator identities, runs
 family 1 exhaustively up to a size bound and on seeded random families, and
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .gkm import VertexMap
-from .laurent import LaurentPolynomial, monomial, one
+from .laurent import monomial, one
 from .quadric import (
     QuadricGraph,
     antipodal_product_class,
@@ -43,18 +45,23 @@ class ClassProvider:
 
     Overrides exist for fault injection: tests replace, say, the monomial
     class at one vertex with a corrupted copy and watch the relation suite
-    name it in a failure.
+    name it in a failure.  Supported classes and their zero sets are built
+    from the generators here, so an override drops them.
     """
 
     def __init__(self, ctx: QuadricGraph):
         self.ctx = ctx
         self._cache: dict[tuple, VertexMap] = {}
+        self._supported: dict[frozenset[int], VertexMap] = {}
+        self._zero_sets: dict[frozenset[int], frozenset[int]] = {}
 
     def override(self, kind: str, key, vm: VertexMap) -> None:
         if kind not in ("M", "Minv", "Delta"):
             raise ValueError(f"unknown class kind {kind!r}")
         key = frozenset(key) if kind == "Delta" else int(key)
         self._cache[(kind, key)] = vm
+        self._supported.clear()
+        self._zero_sets.clear()
 
     def monomial(self, v: int) -> VertexMap:
         key = ("M", v)
@@ -75,16 +82,33 @@ class ClassProvider:
         return self._cache[key]
 
     def supported(self, members) -> VertexMap:
+        """The class supported inside `members`: 1 - (monomial class at v)
+        when `members` omits exactly one vertex v, the Thom class when
+        `members` is admissible.  Anything else is rejected."""
         members = frozenset(members)
+        if members in self._supported:
+            return self._supported[members]
         everything = frozenset(self.ctx.vertices)
         if len(members) == self.ctx.vertex_count - 1 and members < everything:
             (v,) = everything - members
-            return VertexMap.constant(self.ctx.vertices, one(self.ctx.m)) - self.monomial(v)
-        if self.ctx.is_admissible(members):
-            return self.thom(members)
-        raise ValueError(
-            f"{sorted(members)} is neither the complement of a single vertex nor admissible"
-        )
+            vm = 1 - self.monomial(v)
+        elif self.ctx.is_admissible(members):
+            vm = self.thom(members)
+        else:
+            raise ValueError(
+                f"{sorted(members)} is neither the complement of a single vertex nor admissible"
+            )
+        self._supported[members] = vm
+        return vm
+
+    def zero_set(self, members) -> frozenset[int]:
+        """The vertices where the supported class of `members` is zero, read
+        from its values (not from its expected support)."""
+        members = frozenset(members)
+        if members not in self._zero_sets:
+            vm = self.supported(members)
+            self._zero_sets[members] = frozenset(v for v in self.ctx.vertices if vm[v].is_zero())
+        return self._zero_sets[members]
 
 
 def _provider(ctx: QuadricGraph, provider: ClassProvider | None) -> ClassProvider:
@@ -95,9 +119,10 @@ def check_product_vanishing(ctx, family, provider=None) -> bool:
     """True iff the product of the supported classes of `family` is the zero map.
 
     `family` must consist of valid index sets with empty overall intersection
-    (duplicates are allowed -- they only repeat factors).  At each vertex the
-    factor values are multiplied smallest-first; the product is exact either
-    way, and this meets the zero factor early.
+    (duplicates are allowed -- they only repeat factors).  Values multiply in
+    an integral domain, so the product is zero at a vertex iff some factor is
+    zero there: the answer is whether the factors' zero sets cover every
+    vertex.  No polynomial is multiplied.
     """
     provider = _provider(ctx, provider)
     family = [frozenset(j) for j in family]
@@ -108,15 +133,8 @@ def check_product_vanishing(ctx, family, provider=None) -> bool:
         intersection &= j
     if intersection:
         raise ValueError(f"family intersection {sorted(intersection)} is nonempty")
-    factors = [provider.supported(j) for j in family]
-    for v in ctx.vertices:
-        values = sorted((f[v] for f in factors), key=LaurentPolynomial.term_count)
-        product = values[0]
-        for value in values[1:]:
-            product = product * value
-        if not product.is_zero():
-            return False
-    return True
+    zeros = frozenset().union(*(provider.zero_set(j) for j in family))
+    return len(zeros) == ctx.vertex_count
 
 
 def spare_pole_pair(ctx, members) -> tuple[int, int]:
@@ -143,7 +161,7 @@ def check_complete_set_split(ctx, members, provider=None) -> bool:
     complement = frozenset(ctx.vertices) - members
     lhs = VertexMap.constant(ctx.vertices, one(ctx.m))
     for i in sorted(members):
-        lhs = lhs * (VertexMap.constant(ctx.vertices, one(ctx.m)) - provider.monomial(i))
+        lhs = lhs * (1 - provider.monomial(i))
     rhs = provider.thom(complement - {b}) + provider.monomial(b) * provider.thom(
         complement - {b_bar}
     )
@@ -158,9 +176,7 @@ def check_peeling(ctx, members, i, provider=None) -> bool:
         raise ValueError(f"vertex {i} is not in {sorted(members)}")
     if len(members) < 2:
         raise ValueError("peeling needs at least two members")
-    lhs = provider.thom(members) * (
-        VertexMap.constant(ctx.vertices, one(ctx.m)) - provider.monomial(i)
-    )
+    lhs = provider.thom(members) * (1 - provider.monomial(i))
     return lhs == provider.thom(members - {i})
 
 

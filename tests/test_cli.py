@@ -1,4 +1,8 @@
+import hashlib
 import json
+from pathlib import Path
+
+import pytest
 
 from kquadric.cli import main
 from kquadric.gkm import VertexMap
@@ -146,6 +150,20 @@ def test_verify_deterministic_for_seed(capsys):
     _, first, _ = run(capsys, "verify", "--n", "1", "--seed", "9")
     _, second, _ = run(capsys, "verify", "--n", "1", "--seed", "9")
     assert first == second
+
+
+GOLDEN_VERIFY = json.loads(
+    (Path(__file__).resolve().parents[1] / "benchmarks" / "golden_verify.json").read_text()
+)
+
+
+@pytest.mark.parametrize("n, seed", [(2, seed) for seed in range(16)] + [(3, 0)])
+def test_verify_matches_golden_digest(capsys, n, seed):
+    code, out, _ = run(capsys, "verify", "--n", str(n), "--seed", str(seed))
+    golden = GOLDEN_VERIFY[str(n)][str(seed)]
+    data = out.encode()
+    assert code == 0
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (golden["sha256"], golden["bytes"])
 
 
 def test_decompose_command(tmp_path, capsys):

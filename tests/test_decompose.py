@@ -1,3 +1,4 @@
+import importlib
 import os
 import random
 import subprocess
@@ -15,7 +16,6 @@ from kquadric.decompose import (
     localization_index_set,
     random_k_class,
     recompose,
-    restrict_at,
     verify_free_module,
 )
 from kquadric.gkm import VertexMap, is_k_class
@@ -146,6 +146,24 @@ decompose(ctx, monomial_class(ctx, 1), basis)
     assert "RuntimeError: residual not triangular at stage 3" in result.stderr
 
 
+def test_decompose_without_basis_builds_it_once(monkeypatch, q2):
+    module = importlib.import_module("kquadric.decompose")
+    built = []
+
+    def counting(ctx):
+        built.append(ctx.n)
+        return canonical_basis(ctx)
+
+    monkeypatch.setattr(module, "canonical_basis", counting)
+    module._shared_basis.cache_clear()
+    f = monomial_class(q2, 2) * thom_class(q2, {5, 6})
+    first = decompose(q2, f)
+    second = decompose(QuadricGraph(2), f)
+    assert first == second
+    assert recompose(q2, first) == f
+    assert built == [2]
+
+
 def test_decompose_validates_shape(q1, q2):
     with pytest.raises(ValueError):
         decompose(q2, one_map(q1))
@@ -243,15 +261,10 @@ def test_generator_product_round_trip(q2):
 
 
 def test_restrict_at_values(q2):
-    assert restrict_at(q2, monomial_class(q2, 1), 1) == one(3)
+    assert monomial_class(q2, 1)[1] == one(3)
     ratio = monomial_class(q2, 2) * monomial_class(q2, 1, inverted=True)
     for v in q2.vertices:
-        assert restrict_at(q2, ratio, v) == monomial((1, 0, 0))
-
-
-def test_restrict_at_range(q1):
-    with pytest.raises(ValueError):
-        restrict_at(q1, monomial_class(q1, 1), 5)
+        assert ratio[v] == monomial((1, 0, 0))
 
 
 def test_localization_index_sets(q2):
@@ -264,7 +277,7 @@ def test_localization_index_sets(q2):
 def test_vertex_values_determine_the_class(q1):
     f = monomial_class(q1, 2)
     g = thom_class(q1, {2})
-    same = all(restrict_at(q1, f, v) == restrict_at(q1, g, v) for v in q1.vertices)
+    same = all(f[v] == g[v] for v in q1.vertices)
     assert same == (f == g)
 
 

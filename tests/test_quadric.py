@@ -7,11 +7,11 @@ from kquadric.quadric import (
     QuadricGraph,
     antipodal_product_class,
     monomial_class,
-    supported_class,
     thom_class,
     vertex_map_from_json_dict,
     vertex_map_to_json_dict,
 )
+from kquadric.relations import ClassProvider
 
 
 # -- graph construction -----------------------------------------------------------
@@ -228,7 +228,7 @@ def test_antipodal_product_equals_class_products(q1, q2):
 
 
 def test_supported_class_complement_shape_n1(q1):
-    f = supported_class(q1, [2, 3, 4])  # everything but vertex 1
+    f = ClassProvider(q1).supported([2, 3, 4])  # everything but vertex 1
     assert f[1].is_zero()
     assert f[2] == one(2) - monomial((-1, 0))
     assert f[3] == one(2) - monomial((0, -1))
@@ -236,12 +236,12 @@ def test_supported_class_complement_shape_n1(q1):
 
 
 def test_supported_class_admissible_shape(q1):
-    assert supported_class(q1, [3, 4]) == thom_class(q1, [3, 4])
+    assert ClassProvider(q1).supported([3, 4]) == thom_class(q1, [3, 4])
 
 
 def test_supported_class_rejects_other_shapes(q1):
     with pytest.raises(ValueError):
-        supported_class(q1, [1, 4])  # antipodal pair, not a single-vertex complement
+        ClassProvider(q1).supported([1, 4])  # antipodal pair, not a single-vertex complement
 
 
 # -- admissible subsets ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -21,6 +22,34 @@ from kquadric.relations import (
 
 def complement(ctx, v):
     return frozenset(ctx.vertices) - {v}
+
+
+def expanded_product_vanishes(ctx, family, provider):
+    """The oracle: multiply the factor values out at every vertex."""
+    factors = [provider.supported(j) for j in family]
+    for v in ctx.vertices:
+        product = factors[0][v]
+        for factor in factors[1:]:
+            product = product * factor[v]
+        if not product.is_zero():
+            return False
+    return True
+
+
+def changed_at(vm, v, value):
+    values = dict(vm.values)
+    values[v] = value
+    return VertexMap(values)
+
+
+def corrupted_provider(ctx, corruption):
+    provider = ClassProvider(ctx)
+    if corruption == "missing_vertex":  # 1 - M_1 is -1 at vertex 1, where it should vanish
+        m = monomial_class(ctx, 1)
+        provider.override("M", 1, changed_at(m, 1, m[1] * 2))
+    elif corruption == "off_support":  # the Thom class of {1} is 1 at vertex 2
+        provider.override("Delta", {1}, changed_at(thom_class(ctx, {1}), 2, one(ctx.m)))
+    return provider
 
 
 # -- product vanishing ---------------------------------------------------------
@@ -72,6 +101,31 @@ def test_random_family_generator_produces_empty_intersections(q2):
             intersection &= j
         assert not intersection
         assert check_product_vanishing(q2, family)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("corruption", ["none", "missing_vertex", "off_support"])
+def test_zero_sets_agree_with_expanded_products(n, corruption):
+    ctx = QuadricGraph(n)
+    provider = corrupted_provider(ctx, corruption)
+    for size in (1, 2, 3):
+        for family in combinations_with_replacement(support_index_sets(ctx), size):
+            if frozenset.intersection(*family):
+                continue
+            expected = expanded_product_vanishes(ctx, family, provider)
+            assert check_product_vanishing(ctx, family, provider) == expected, family
+    family = [complement(ctx, 1), {1}]
+    assert check_product_vanishing(ctx, family, provider) == (corruption == "none")
+
+
+def test_override_after_a_sweep_drops_cached_supported_classes(q1):
+    provider = ClassProvider(q1)
+    assert verify_all(q1, random_family_count=10, seed=3, provider=provider).ok
+    fresh = corrupted_provider(q1, "missing_vertex")
+    provider.override("M", 1, fresh.monomial(1))
+    report = verify_all(q1, random_family_count=10, seed=3, provider=provider)
+    assert any(r.kind == "product_vanishing" for r in report.failures())
+    assert report == verify_all(q1, random_family_count=10, seed=3, provider=fresh)
 
 
 # -- spare pole pair -------------------------------------------------------------
