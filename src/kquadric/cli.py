@@ -4,7 +4,9 @@ Results are JSON on stdout (or a file named with --out); diagnostics go to
 stderr.  Exit status 0 means success / all checks passed, 1 means a
 verification failed or a check came out negative, 2 means a usage or I/O
 error.  Output is byte-identical for identical flags and seed; --pretty only
-adds whitespace.
+adds whitespace.  A request above a stated bound (`MAX_N` for --n and
+--max-n, `MAX_FAMILY_BOUND`, `MAX_TRIALS`) is refused with exit status 2
+before any graph is built.
 """
 from __future__ import annotations
 
@@ -39,6 +41,28 @@ from .relations import ALL_KINDS, ClassProvider, verify_all
 
 class UsageError(Exception):
     """Bad flag combinations or unreadable inputs (exit status 2)."""
+
+
+# Stated upper bounds.  At n = 8 a Thom class value already has up to 2^16
+# terms per vertex; at n = 3 a family bound of 4 enumerates 2.4 million
+# candidate families, each kept as a record.
+MAX_N = 8
+MAX_FAMILY_BOUND = 4
+MAX_TRIALS = 10_000
+
+_LIMITS = (
+    ("n", "--n", MAX_N),
+    ("max_n", "--max-n", MAX_N),
+    ("family_bound", "--family-bound", MAX_FAMILY_BOUND),
+    ("trials", "--trials", MAX_TRIALS),
+)
+
+
+def _check_limits(args) -> None:
+    for dest, flag, limit in _LIMITS:
+        value = getattr(args, dest, None)
+        if value is not None and value > limit:
+            raise UsageError(f"{flag} {value} exceeds the supported maximum {limit}")
 
 
 def _dump(doc, pretty: bool) -> str:
@@ -229,14 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    n_help = f"the quadric has complex dimension 2n (at most {MAX_N})"
+
     p = sub.add_parser("graph", help="emit the labeled graph as JSON")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=n_help)
     p.add_argument("--out")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("gen", help="emit a generator class (or the whole basis) as JSON")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=n_help)
     p.add_argument(
         "--class",
         dest="cls",
@@ -250,29 +276,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("check", help="test whether a vertex map file is a K-class")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=n_help)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("verify", help="run the relation suite")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=n_help)
     p.add_argument("--relations", choices=["all", "1", "2", "3", "4"], default="all")
-    p.add_argument("--family-bound", type=int, default=3)
+    p.add_argument(
+        "--family-bound",
+        type=int,
+        default=3,
+        help=f"largest exhaustive product-vanishing family (at most {MAX_FAMILY_BOUND})",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("decompose", help="decompose a K-class file over the canonical basis")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=n_help)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("selfcheck", help="run the full verification battery for n = 1..max-n")
-    p.add_argument("--max-n", dest="max_n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--max-n", dest="max_n", type=int, required=True, help=f"at most {MAX_N}")
+    p.add_argument("--trials", type=int, default=25, help=f"at most {MAX_TRIALS}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_selfcheck)
@@ -287,6 +318,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _check_limits(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

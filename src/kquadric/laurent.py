@@ -7,6 +7,24 @@ public iteration is in lexicographic exponent order.  Instances are immutable:
 every operation returns a new polynomial, so values can be shared freely
 between threads or tasks.
 
+Packed exponents.  Internally every exponent vector is one Python int (a
+Kronecker substitution): coordinate i sits in a field of `width` bits, with
+coordinate 0 in the most significant field, and every field holds e_i + bias
+with bias = 2^(width-1).  So the zero vector packs to the sum of the biases,
+a product key is k1 + k2 - zero, shifting by alpha adds the signed packing
+Σ alpha_i·2^(shift_i), and sorting packed ints sorts exponents
+lexicographically.  The public API (constructor, `items`, `support`,
+`coefficient`, str, JSON) takes and returns tuples only.
+
+Exactness for any exponent size.  Each polynomial carries `_bound`, an upper
+bound on |e_i| over all its terms, and keeps _bound < bias, so every field is
+in range and packing is a bijection.  A sum's bound is the larger operand
+bound, a product's the sum of the operand bounds; when a result bound would
+not fit, the operands' exact bounds are taken, and if it still does not fit
+the operation works at a wider layout.  Widths run 16, 32, 64, ... bits, an
+operation between two widths repacks the narrower operand, and `==` compares
+across widths.
+
 Besides the ring operations the module provides the two division primitives
 everything downstream is built on:
 
@@ -17,15 +35,26 @@ everything downstream is built on:
   each coset is the running sum of g's coefficients.
 
 Both rest on one pass that buckets the terms of g by coset of Z·alpha: the
-coset of e is keyed by e - t·alpha with t = ⌊alpha·e / alpha·alpha⌋, one
-integer floor division per term, which is also right for non-primitive alpha.
+coset of e is keyed by e - t·alpha with t = ⌊e_j / alpha_j⌋ for the
+coordinate j of largest |alpha_j|, which is also right for non-primitive
+alpha.  On packed keys that is one field read, one floor division and
+key - t·P(alpha).  Then |t| <= |e_j|/|alpha_j| + 1, so every coordinate of
+the representative satisfies |e_i - t·alpha_i| <= 2·bound + max|alpha|; the
+pass widens first when that would not fit.  Quotient exponents lie between
+two exponents of g on their coset line, so they stay within g's bound.
 """
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
+
+BASE_WIDTH = 16  # bits per exponent field; wider layouts double it
+
+_coefficient = itemgetter(1)
 
 
 class NonDivisibleError(ArithmeticError):
@@ -52,15 +81,72 @@ def _check_exponent(e, m: int | None = None) -> Exponent:
     return e
 
 
+class _Layout:
+    """How length-m exponent vectors with |e_i| < bias pack into one int."""
+
+    __slots__ = ("width", "bias", "mask", "shifts", "zero")
+
+    def __init__(self, m: int, width: int):
+        self.width = width
+        self.bias = 1 << (width - 1)
+        self.mask = (1 << width) - 1
+        self.shifts = tuple(width * (m - 1 - i) for i in range(m))
+        self.zero = self.offset((self.bias,) * m)
+
+    def offset(self, e) -> int:
+        """The signed packing Σ e_i·2^(shift_i): adding it to a key multiplies by y^e."""
+        return sum(x << s for x, s in zip(e, self.shifts))
+
+    def pack(self, e) -> int:
+        return self.zero + self.offset(e)
+
+    def unpack(self, key: int) -> Exponent:
+        mask, bias = self.mask, self.bias
+        return tuple(((key >> s) & mask) - bias for s in self.shifts)
+
+
+@lru_cache(maxsize=None)
+def _layout(m: int, width: int) -> _Layout:
+    return _Layout(m, width)
+
+
+def _layout_for(m: int, bound: int) -> _Layout:
+    """The narrowest layout whose fields hold every |e_i| <= bound."""
+    width = BASE_WIDTH
+    while bound >= 1 << (width - 1):
+        width *= 2
+    return _layout(m, width)
+
+
+def _wider(a: _Layout, b: _Layout) -> _Layout:
+    return a if a.width >= b.width else b
+
+
+def _keyed(p: "LaurentPolynomial", layout: _Layout) -> dict[int, int]:
+    """p's terms keyed in `layout`, which must be at least as wide as p's."""
+    if p._layout is layout:
+        return p._terms
+    unpack, pack = p._layout.unpack, layout.pack
+    return {pack(unpack(key)): c for key, c in p._terms.items()}
+
+
+def _exact_bound(p: "LaurentPolynomial") -> int:
+    """The largest |e_i| over p's terms; it replaces p's stored bound."""
+    unpack = p._layout.unpack
+    bound = max((abs(x) for key in p._terms for x in unpack(key)), default=0)
+    object.__setattr__(p, "_bound", bound)
+    return bound
+
+
 class LaurentPolynomial:
     """An element of Z[y_1^±1, ..., y_m^±1] in canonical form.
 
     Supports +, -, * (with ints and with other polynomials of the same m) and
-    ** (negative powers only for single-term units).  Equality is structural
-    equality of canonical forms.
+    ** (negative powers only for single-term units).  Equality is equality of
+    canonical forms.
     """
 
-    __slots__ = ("m", "_terms")
+    __slots__ = ("m", "_terms", "_layout", "_bound")
 
     def __init__(self, m: int, terms: Mapping[Exponent, int] | Iterable[tuple[Exponent, int]] = ()):
         if not isinstance(m, int) or m < 1:
@@ -76,15 +162,20 @@ class LaurentPolynomial:
                 collected[e] = c
             elif e in collected:
                 del collected[e]
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_terms", collected)
+        self._set(m, *_packed(m, collected))
 
-    @classmethod
-    def _raw(cls, m: int, terms: dict[Exponent, int]) -> "LaurentPolynomial":
-        # Internal fast path: `terms` must already be canonical (no zeros).
-        self = object.__new__(cls)
+    def _set(self, m: int, terms: dict[int, int], layout: _Layout, bound: int) -> None:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_layout", layout)
+        object.__setattr__(self, "_bound", bound)
+
+    @classmethod
+    def _raw(cls, m: int, terms: dict[int, int], layout: _Layout, bound: int) -> "LaurentPolynomial":
+        # Internal fast path: `terms` must be canonical (no zeros) packed keys
+        # of `layout`, with every |e_i| <= bound < layout.bias.
+        self = object.__new__(cls)
+        self._set(m, terms, layout, bound)
         return self
 
     def __setattr__(self, name, value):
@@ -94,13 +185,18 @@ class LaurentPolynomial:
 
     def items(self) -> list[tuple[Exponent, int]]:
         """Terms as (exponent, coefficient) pairs in lexicographic order."""
-        return sorted(self._terms.items())
+        unpack = self._layout.unpack
+        return [(unpack(key), c) for key, c in sorted(self._terms.items())]
 
     def support(self) -> list[Exponent]:
-        return sorted(self._terms)
+        unpack = self._layout.unpack
+        return [unpack(key) for key in sorted(self._terms)]
 
     def coefficient(self, e) -> int:
-        return self._terms.get(_check_exponent(e, self.m), 0)
+        e = _check_exponent(e, self.m)
+        if any(abs(x) > self._bound for x in e):
+            return 0
+        return self._terms.get(self._layout.pack(e), 0)
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -109,7 +205,7 @@ class LaurentPolynomial:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {(0,) * self.m: 1}
+        return self._terms == {self._layout.zero: 1}
 
     def is_monomial(self) -> bool:
         """True iff the polynomial has exactly one term with coefficient ±1."""
@@ -123,7 +219,10 @@ class LaurentPolynomial:
             return self == constant(self.m, other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return self.m == other.m and self._terms == other._terms
+        if self.m != other.m or len(self._terms) != len(other._terms):
+            return False
+        layout = _wider(self._layout, other._layout)
+        return _keyed(self, layout) == _keyed(other, layout)
 
     __hash__ = None  # mutable-looking API keeps these out of sets/dict keys
 
@@ -138,30 +237,40 @@ class LaurentPolynomial:
             return other
         return NotImplemented
 
+    def _add(self, other: "LaurentPolynomial", sign: int) -> "LaurentPolynomial":
+        """self + sign * other, copying the larger operand and merging in the smaller."""
+        layout = _wider(self._layout, other._layout)
+        a, b = _keyed(self, layout), _keyed(other, layout)
+        if len(a) < len(b):
+            a, b = (b if sign == 1 else {key: -c for key, c in b.items()}), a
+            sign = 1
+        result = dict(a)
+        get = result.get
+        for key, c in b.items():
+            v = get(key, 0) + sign * c
+            if v:
+                result[key] = v
+            else:  # c != 0, so a zero sum means the key was present
+                del result[key]
+        return LaurentPolynomial._raw(self.m, result, layout, max(self._bound, other._bound))
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        result = dict(self._terms)
-        get = result.get
-        for e, c in other._terms.items():
-            v = get(e, 0) + c
-            if v:
-                result[e] = v
-            elif e in result:
-                del result[e]
-        return LaurentPolynomial._raw(self.m, result)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPolynomial._raw(self.m, {e: -c for e, c in self._terms.items()})
+        terms = {key: -c for key, c in self._terms.items()}
+        return LaurentPolynomial._raw(self.m, terms, self._layout, self._bound)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -169,25 +278,34 @@ class LaurentPolynomial:
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
-                return LaurentPolynomial._raw(self.m, {})
-            return LaurentPolynomial._raw(self.m, {e: c * other for e, c in self._terms.items()})
+                return zero(self.m)
+            terms = {key: c * other for key, c in self._terms.items()}
+            return LaurentPolynomial._raw(self.m, terms, self._layout, self._bound)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._terms, other._terms
+        layout = _wider(self._layout, other._layout)
+        bound = self._bound + other._bound
+        if bound >= layout.bias:
+            bound = _exact_bound(self) + _exact_bound(other)
+            if bound >= layout.bias:
+                layout = _layout_for(self.m, bound)
+        a, b = _keyed(self, layout), _keyed(other, layout)
         if len(a) > len(b):
             a, b = b, a
-        result: dict[Exponent, int] = {}
+        zero_key = layout.zero
+        result: dict[int, int] = {}
         get = result.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
+        for k1, c1 in a.items():
+            base = k1 - zero_key
+            for k2, c2 in b.items():
+                key = base + k2
                 v = get(key, 0) + c1 * c2
                 if v:
                     result[key] = v
-                elif key in result:
+                else:  # c1 * c2 != 0, so a zero sum means the key was present
                     del result[key]
-        return LaurentPolynomial._raw(self.m, result)
+        return LaurentPolynomial._raw(self.m, result, layout, bound)
 
     __rmul__ = __mul__
 
@@ -197,8 +315,9 @@ class LaurentPolynomial:
         if k < 0:
             if not self.is_monomial():
                 raise ValueError("negative powers exist only for single-term units")
-            (e, c), = self._terms.items()
-            inverse = LaurentPolynomial._raw(self.m, {tuple(-x for x in e): c})
+            (key, c), = self._terms.items()
+            layout = self._layout
+            inverse = LaurentPolynomial._raw(self.m, {2 * layout.zero - key: c}, layout, self._bound)
             return inverse ** (-k)
         result = one(self.m)
         base = self
@@ -234,6 +353,14 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self.m}, {dict(self.items())!r})"
+
+
+def _packed(m: int, terms: dict[Exponent, int]) -> tuple[dict[int, int], _Layout, int]:
+    """Packed keys, layout and bound for canonical tuple-keyed terms."""
+    bound = max((abs(x) for e in terms for x in e), default=0)
+    layout = _layout_for(m, bound)
+    pack = layout.pack
+    return {pack(e): c for e, c in terms.items()}, layout, bound
 
 
 # -- constructors -----------------------------------------------------------
@@ -277,60 +404,82 @@ def _checked_alpha(alpha, m: int) -> Exponent:
     return alpha
 
 
-def _coset_buckets(g: LaurentPolynomial, alpha: Exponent) -> dict[Exponent, list[tuple[int, int]]]:
-    """The terms of g grouped by coset of Z·alpha, as lists of (t, coefficient).
+def _coset_frame(g: LaurentPolynomial, alpha: Exponent):
+    """g's terms keyed in a layout that also holds every coset representative.
 
-    The key of e is the representative e - t·alpha with t = ⌊alpha·e / alpha·alpha⌋.
+    The coset of Z·alpha through e is keyed by the packed representative
+    e - t·alpha with t = ⌊e_j / alpha_j⌋ for the first j of largest |alpha_j|.
     Adding alpha to e adds exactly 1 to t, so two exponents share a key iff
     their difference lies in Z·alpha; this holds for non-primitive alpha too.
+    Returns (terms, layout, step, (shift, mask, bias, alpha_j)): with them,
+    t = (((key >> shift) & mask) - bias) // alpha_j and the representative
+    is key - t * step, where step is the packed P(alpha).
     """
-    norm = sum(a * a for a in alpha)
-    buckets: dict[Exponent, list[tuple[int, int]]] = {}
-    for e, c in g._terms.items():
-        t = sum(a * x for a, x in zip(alpha, e)) // norm
-        rep = tuple([x - t * a for x, a in zip(e, alpha)]) if t else e
-        buckets.setdefault(rep, []).append((t, c))
-    return buckets
-
-
-def _all_cancel(buckets: dict[Exponent, list[tuple[int, int]]]) -> bool:
-    return not any(sum(c for _, c in bucket) for bucket in buckets.values())
+    top = max(abs(a) for a in alpha)
+    j = next(i for i, a in enumerate(alpha) if abs(a) == top)
+    layout = g._layout
+    if 2 * g._bound + top >= layout.bias:
+        reach = 2 * _exact_bound(g) + top
+        if reach >= layout.bias:
+            layout = _layout_for(g.m, reach)
+    reader = (layout.shifts[j], layout.mask, layout.bias, alpha[j])
+    return _keyed(g, layout), layout, layout.offset(alpha), reader
 
 
 def divisible_by_binomial(g: LaurentPolynomial, alpha: Iterable[int]) -> bool:
     """True iff g lies in the ideal (1 - y^alpha).
 
-    Coefficients are bucketed by coset of Z·alpha; g is divisible iff every
-    bucket sums to zero.  This is exact: modulo y^alpha - 1 the ring is the
+    Coefficients are summed by coset of Z·alpha; g is divisible iff every
+    coset sums to zero.  This is exact: modulo y^alpha - 1 the ring is the
     group ring of Z^m / Z·alpha.
     """
     alpha = _checked_alpha(alpha, g.m)
-    return _all_cancel(_coset_buckets(g, alpha))
+    terms, _, step, (shift, mask, bias, a_j) = _coset_frame(g, alpha)
+    sums: dict[int, int] = {}
+    get = sums.get
+    for key, c in terms.items():
+        rep = key - (((key >> shift) & mask) - bias) // a_j * step
+        sums[rep] = get(rep, 0) + c
+    return not any(sums.values())
 
 
 def div_exact_binomial(g: LaurentPolynomial, alpha: Iterable[int]) -> LaurentPolynomial:
     """The exact quotient q with (1 - y^alpha) * q == g.
 
-    Within one coset bucket, the coefficient of g at rep + t·alpha is
-    q(t) - q(t - 1), so q at rep + s·alpha is the sum of the bucket's
-    coefficients over t <= s; it is nonzero only for s from the bucket's least
-    t up to, not including, its greatest.  Raises NonDivisibleError, before
-    any quotient term is built, when some bucket does not sum to zero.
+    The terms of g are bucketed by coset as (t, coefficient) pairs.  Within
+    one bucket, the coefficient of g at rep + t·alpha is q(t) - q(t - 1), so
+    q at rep + s·alpha is the sum of the bucket's coefficients over t <= s;
+    it is nonzero only for s from the bucket's least t up to, not including,
+    its greatest.  Raises NonDivisibleError, before any quotient term is
+    built, when some bucket does not sum to zero: a bucket's quotient can span
+    far more terms than g has.
     """
     alpha = _checked_alpha(alpha, g.m)
-    buckets = _coset_buckets(g, alpha)
-    if not _all_cancel(buckets):
-        raise NonDivisibleError(f"{g} is not divisible by 1 - y^{list(alpha)}")
-    quotient: dict[Exponent, int] = {}
+    terms, layout, step, (shift, mask, bias, a_j) = _coset_frame(g, alpha)
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    for key, c in terms.items():
+        t = (((key >> shift) & mask) - bias) // a_j
+        rep = key - t * step
+        bucket = buckets.get(rep)
+        if bucket is None:
+            buckets[rep] = [(t, c)]
+        else:
+            bucket.append((t, c))
+    for bucket in buckets.values():
+        if sum(map(_coefficient, bucket)):
+            raise NonDivisibleError(f"{g} is not divisible by 1 - y^{list(alpha)}")
+    quotient: dict[int, int] = {}
     for rep, bucket in buckets.items():
         bucket.sort()
         running = 0
         for (t, c), (t_next, _) in zip(bucket, bucket[1:]):
             running += c
             if running:
-                for s in range(t, t_next):
-                    quotient[tuple([x + s * a for x, a in zip(rep, alpha)])] = running
-    return LaurentPolynomial._raw(g.m, quotient)
+                key = rep + t * step
+                for _ in range(t, t_next):
+                    quotient[key] = running
+                    key += step
+    return LaurentPolynomial._raw(g.m, quotient, layout, g._bound)
 
 
 def div_exact_product(g: LaurentPolynomial, alphas: Iterable[Iterable[int]]) -> LaurentPolynomial:
@@ -397,7 +546,7 @@ def from_json_dict(doc) -> LaurentPolynomial:
         if key in terms:
             raise ParseError(f"term {k} ({exp!r}): duplicate exponent key")
         terms[key] = value
-    return LaurentPolynomial._raw(m, terms)
+    return LaurentPolynomial._raw(m, *_packed(m, terms))
 
 
 def emit(p: LaurentPolynomial) -> str:

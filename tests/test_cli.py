@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from kquadric.cli import main
+import kquadric.cli as cli_module
+from kquadric.cli import MAX_FAMILY_BOUND, MAX_N, MAX_TRIALS, main
 from kquadric.gkm import VertexMap
 from kquadric.laurent import one, zero
 from kquadric.quadric import (
@@ -232,6 +233,32 @@ def test_selfcheck_reports_failure(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["pass"] is False
     assert doc["runs"][0]["structural"]["three_independent"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["graph", "--n", str(MAX_N + 1)], "--n"),
+        (["verify", "--n", "1", "--family-bound", str(MAX_FAMILY_BOUND + 1)], "--family-bound"),
+        (["selfcheck", "--max-n", str(MAX_N + 1)], "--max-n"),
+        (["selfcheck", "--max-n", "1", "--trials", str(MAX_TRIALS + 1)], "--trials"),
+    ],
+)
+def test_oversized_requests_are_refused_before_any_graph_is_built(capsys, monkeypatch, argv, flag):
+    def no_graph(n):
+        raise AssertionError("a graph was built for a refused request")
+
+    monkeypatch.setattr(cli_module, "QuadricGraph", no_graph)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} {argv[-1]} exceeds the supported maximum {int(argv[-1]) - 1}\n"
+
+
+def test_requests_at_the_bounds_are_accepted(capsys):
+    assert run(capsys, "graph", "--n", str(MAX_N))[0] == 0
+    code, out, _ = run(capsys, "verify", "--n", "1", "--family-bound", str(MAX_FAMILY_BOUND))
+    assert code == 0 and json.loads(out)["summary"]["fail"] == 0
 
 
 def test_usage_errors_exit_two(capsys):

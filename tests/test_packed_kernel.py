@@ -1,0 +1,183 @@
+"""The packed-exponent kernel against the tuple-keyed oracle in tuple_laurent.py.
+
+Exponents are drawn on both sides of every field-width boundary (2^15, 2^31,
+2^63 for the 16-, 32- and 64-bit layouts, and half of each, where a product
+crosses it), at ±10^12 and past 2^63, each shifted by small vectors so that
+terms of different operands meet and cancel.
+"""
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import tuple_laurent as oracle
+from kquadric.laurent import (
+    LaurentPolynomial,
+    NonDivisibleError,
+    div_exact_binomial,
+    div_exact_product,
+    divisible_by_binomial,
+    emit,
+    monomial,
+    one_minus_monomial,
+)
+
+EDGES = (2**14, 2**15, 2**30, 2**31, 2**62, 2**63, 10**12, 2**64)
+
+near_edge = st.builds(
+    lambda edge, delta, sign: sign * (edge + delta),
+    st.sampled_from(EDGES),
+    st.integers(-2, 2),
+    st.sampled_from((1, -1)),
+)
+offset_entry = st.one_of(st.just(0), near_edge, st.integers(-(10**12), 10**12))
+
+
+@st.composite
+def operands(draw):
+    """(m, a, b, alpha): two polynomials whose terms sit near 0, near an offset
+    vector and near its negative, and a nonzero, possibly non-primitive alpha."""
+    m = draw(st.integers(1, 5))
+    offset = draw(st.tuples(*[offset_entry] * m))
+    centres = [(0,) * m, offset, tuple(-x for x in offset)]
+
+    def polynomial():
+        terms = {}
+        for _ in range(draw(st.integers(0, 5))):
+            centre = draw(st.sampled_from(centres))
+            small = draw(st.tuples(*[st.integers(-2, 2)] * m))
+            e = tuple(x + y for x, y in zip(centre, small))
+            terms[e] = terms.get(e, 0) + draw(st.integers(-4, 4))
+        return LaurentPolynomial(m, terms)
+
+    a, b = polynomial(), polynomial()
+    entry = st.one_of(st.integers(-3, 3), near_edge)
+    scale = draw(st.sampled_from((1, 1, 2, -3)))
+    alpha = tuple(scale * x for x in draw(st.tuples(*[entry] * m).filter(any)))
+    return m, a, b, alpha
+
+
+def tuple_terms(p):
+    items = p.items()
+    assert [e for e, _ in items] == sorted(e for e, _ in items)
+    return dict(items)
+
+
+QUOTIENT_LIMIT = 10_000
+
+
+def oracle_quotient(g, alpha):
+    try:
+        return oracle.div_exact(g, alpha)
+    except oracle.NotDivisible:
+        return None
+
+
+def packed_quotient(g, alpha):
+    try:
+        return tuple_terms(div_exact_binomial(g, alpha))
+    except NonDivisibleError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands())
+# A product whose exponent crosses the 16-bit field: the result must widen.
+@example((1, monomial((2**15 - 1,)), monomial((1,)), (1,)))
+# Past 2^63 on both sides, with cancellation to a constant.
+@example((2, monomial((2**64 + 3, -(2**63))), monomial((-(2**64) - 3, 2**63), -1), (0, 5)))
+def test_ring_operations_match_tuple_oracle(case):
+    m, a, b, _ = case
+    A, B = tuple_terms(a), tuple_terms(b)
+    assert tuple_terms(a + b) == oracle.add(A, B)
+    assert tuple_terms(a - b) == oracle.add(A, B, -1)
+    assert tuple_terms(b - a) == oracle.add(B, A, -1)
+    assert tuple_terms(a * b) == oracle.mul(A, B) == tuple_terms(b * a)
+    assert tuple_terms(-a) == {e: -c for e, c in A.items()}
+    assert tuple_terms(a * 3) == {e: 3 * c for e, c in A.items()}
+    if len(A) <= 3:
+        for k in range(3):
+            assert tuple_terms(a**k) == oracle.power(A, m, k)
+    if a.is_monomial():
+        ((e, c),) = A.items()
+        inverse = a**-1
+        assert tuple_terms(inverse) == {tuple(-x for x in e): c}
+        assert (a * inverse).is_one()
+    for e in list(A)[:3]:
+        assert a.coefficient(e) == A[e]
+        assert (a + b).coefficient(e) == oracle.add(A, B).get(e, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands())
+# Both terms fit 16-bit fields, but the representative (-1, 65530) of the
+# first does not: unwidened it would pack to the key of (0, -6), the second.
+@example((2, monomial((0, 0)), monomial((2**15 - 3, 2**15 - 4)) - monomial((0, -6)), (-3, 3)))
+@example((1, monomial((2**63,)), monomial((1,)), (2**63 - 1,)))
+def test_binomial_division_matches_tuple_oracle(case):
+    _, a, b, alpha = case
+    multiple = a * one_minus_monomial(alpha)
+    for g in (multiple, multiple + b, b):
+        G = tuple_terms(g)
+        assert divisible_by_binomial(g, alpha) == oracle.divisible(G, alpha)
+        if oracle.quotient_size(G, alpha) <= QUOTIENT_LIMIT:
+            assert packed_quotient(g, alpha) == oracle_quotient(G, alpha)
+    assert packed_quotient(multiple, alpha) == tuple_terms(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands(), st.data())
+def test_division_by_products_matches_tuple_oracle(case, data):
+    """g = a·Π(1 - y^alpha_i) + c·y^e·Π_{i<k}(1 - y^alpha_i) divides by the
+    first k factors and, for k < len(alphas), fails exactly at factor k."""
+    m, a, _, alpha = case
+    small = st.tuples(*[st.integers(-2, 2)] * m).filter(any)
+    alphas = [alpha] + data.draw(st.lists(small, max_size=2))
+    k = data.draw(st.integers(0, len(alphas)))
+    extra = monomial(data.draw(st.tuples(*[st.integers(-3, 3)] * m)), data.draw(st.sampled_from((1, -2))))
+    quotient = a + extra
+    g = a
+    for index, factor in enumerate(alphas):
+        g = g * one_minus_monomial(factor)
+        if index < k:
+            extra = extra * one_minus_monomial(factor)
+    g = g + extra
+    G = tuple_terms(g)
+    if k == len(alphas):
+        assert tuple_terms(div_exact_product(g, alphas)) == oracle.div_exact_product(G, alphas)
+        assert div_exact_product(g, alphas) == quotient
+    else:
+        with pytest.raises(oracle.NotDivisible):
+            oracle.div_exact_product(G, alphas)
+        with pytest.raises(NonDivisibleError) as err:
+            div_exact_product(g, alphas)
+        assert err.value.factor_index == k
+
+
+def test_equal_polynomials_of_different_widths_compare_equal():
+    p = one_minus_monomial((1, -2)) * monomial((-3, 0), 5)
+    far = monomial((2**40, 0))
+    q = (p * far) * monomial((-(2**40), 0))
+    assert q._layout.width > p._layout.width
+    assert p == q and q == p
+    assert p != q + monomial((0, 1)) and q + monomial((0, 1)) != p
+    assert p + q == 2 * p == q + p
+    assert emit(q) == emit(p) and repr(q) == repr(p) and str(q) == str(p)
+
+
+def test_coefficient_outside_the_stored_width_is_zero():
+    p = monomial((1, 0))
+    layout = p._layout
+    # In p's 16-bit layout (0, 2^16) packs to the same int as (1, 0).
+    assert layout.pack((0, 2**16)) == layout.pack((1, 0))
+    assert p.coefficient((0, 2**16)) == 0
+    assert p.coefficient((1, 0)) == 1
+    for e in ((2**15, 0), (-(2**15), 0), (10**30, -(10**30)), (2**64 + 1, 0)):
+        assert p.coefficient(e) == 0
+
+
+def test_items_follow_tuple_order_with_negative_exponents():
+    exponents = [(-1, 5), (0, -3), (-2, 0), (-1, -1), (3, -(2**20)), (-(2**40), 7), (0, 0), (-1, 4)]
+    p = LaurentPolynomial(2, {e: k + 1 for k, e in enumerate(exponents)})
+    assert p.support() == sorted(exponents)
+    assert [e for e, _ in p.items()] == sorted(exponents)
+    assert p.items() == sorted((e, k + 1) for k, e in enumerate(exponents))

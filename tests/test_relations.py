@@ -118,6 +118,20 @@ def test_zero_sets_agree_with_expanded_products(n, corruption):
     assert check_product_vanishing(ctx, family, provider) == (corruption == "none")
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("corruption", ["none", "missing_vertex", "off_support"])
+def test_verify_all_decides_product_vanishing_as_the_checked_function(n, corruption):
+    ctx = QuadricGraph(n)
+    provider = corrupted_provider(ctx, corruption)
+    report = verify_all(ctx, random_family_count=30, seed=4, kinds=("product_vanishing",), provider=provider)
+    reference = corrupted_provider(ctx, corruption)
+    assert sum(1 for r in report.records if r.params.get("random")) == 30
+    for record in report.records:
+        family = [frozenset(j) for j in record.params["family"]]
+        assert record.passed == check_product_vanishing(ctx, family, reference), record
+    assert report.ok == (corruption == "none")
+
+
 def test_override_after_a_sweep_drops_cached_supported_classes(q1):
     provider = ClassProvider(q1)
     assert verify_all(q1, random_family_count=10, seed=3, provider=provider).ok
