@@ -20,10 +20,10 @@ Exactness for any exponent size.  Each polynomial carries `_bound`, an upper
 bound on |e_i| over all its terms, and keeps _bound < bias, so every field is
 in range and packing is a bijection.  A sum's bound is the larger operand
 bound, a product's the sum of the operand bounds; when a result bound would
-not fit, the operands' exact bounds are taken, and if it still does not fit
-the operation works at a wider layout.  Widths run 16, 32, 64, ... bits, an
-operation between two widths repacks the narrower operand, and `==` compares
-across widths.
+not fit, the operation works at a layout wide enough for it.  Layouts widen
+from these tracked bounds only, never by re-measuring an operand.  Widths run
+16, 32, 64, ... bits, an operation between two widths repacks the narrower
+operand, and `==` compares across widths.
 
 Besides the ring operations the module provides the two division primitives
 everything downstream is built on:
@@ -128,14 +128,6 @@ def _keyed(p: "LaurentPolynomial", layout: _Layout) -> dict[int, int]:
         return p._terms
     unpack, pack = p._layout.unpack, layout.pack
     return {pack(unpack(key)): c for key, c in p._terms.items()}
-
-
-def _exact_bound(p: "LaurentPolynomial") -> int:
-    """The largest |e_i| over p's terms; it replaces p's stored bound."""
-    unpack = p._layout.unpack
-    bound = max((abs(x) for key in p._terms for x in unpack(key)), default=0)
-    object.__setattr__(p, "_bound", bound)
-    return bound
 
 
 class LaurentPolynomial:
@@ -287,9 +279,7 @@ class LaurentPolynomial:
         layout = _wider(self._layout, other._layout)
         bound = self._bound + other._bound
         if bound >= layout.bias:
-            bound = _exact_bound(self) + _exact_bound(other)
-            if bound >= layout.bias:
-                layout = _layout_for(self.m, bound)
+            layout = _layout_for(self.m, bound)
         a, b = _keyed(self, layout), _keyed(other, layout)
         if len(a) > len(b):
             a, b = b, a
@@ -418,10 +408,9 @@ def _coset_frame(g: LaurentPolynomial, alpha: Exponent):
     top = max(abs(a) for a in alpha)
     j = next(i for i, a in enumerate(alpha) if abs(a) == top)
     layout = g._layout
-    if 2 * g._bound + top >= layout.bias:
-        reach = 2 * _exact_bound(g) + top
-        if reach >= layout.bias:
-            layout = _layout_for(g.m, reach)
+    reach = 2 * g._bound + top
+    if reach >= layout.bias:
+        layout = _layout_for(g.m, reach)
     reader = (layout.shifts[j], layout.mask, layout.bias, alpha[j])
     return _keyed(g, layout), layout, layout.offset(alpha), reader
 
@@ -467,7 +456,9 @@ def div_exact_binomial(g: LaurentPolynomial, alpha: Iterable[int]) -> LaurentPol
             bucket.append((t, c))
     for bucket in buckets.values():
         if sum(map(_coefficient, bucket)):
-            raise NonDivisibleError(f"{g} is not divisible by 1 - y^{list(alpha)}")
+            raise NonDivisibleError(
+                f"a polynomial of {len(terms)} terms is not divisible by 1 - y^{list(alpha)}"
+            )
     quotient: dict[int, int] = {}
     for rep, bucket in buckets.items():
         bucket.sort()

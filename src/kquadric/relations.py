@@ -5,7 +5,7 @@ Four families are checked (integer-exact, no tolerance anywhere):
 1. product vanishing: the product of supported classes over any family of
    index sets with empty intersection is the zero map.  Values multiply in
    the integral domain Z[y^±1], so this holds iff the factors' zero sets
-   cover every vertex, and that is what is checked;
+   cover every vertex, and that is what is checked (on vertex bitmasks);
 2. complete-set split: for an admissible I of size n, the product of
    1 - (monomial class at i) over I equals the Thom class of the complement
    minus one spare pole, plus the monomial class at that pole times the Thom
@@ -45,23 +45,21 @@ class ClassProvider:
 
     Overrides exist for fault injection: tests replace, say, the monomial
     class at one vertex with a corrupted copy and watch the relation suite
-    name it in a failure.  Supported classes and their zero sets are built
+    name it in a failure.  The zero masks of the supported classes are read
     from the generators here, so an override drops them.
     """
 
     def __init__(self, ctx: QuadricGraph):
         self.ctx = ctx
         self._cache: dict[tuple, VertexMap] = {}
-        self._supported: dict[frozenset[int], VertexMap] = {}
-        self._zero_sets: dict[frozenset[int], frozenset[int]] = {}
+        self._zero_masks: dict[frozenset[int], int] = {}
 
     def override(self, kind: str, key, vm: VertexMap) -> None:
         if kind not in ("M", "Minv", "Delta"):
             raise ValueError(f"unknown class kind {kind!r}")
         key = frozenset(key) if kind == "Delta" else int(key)
         self._cache[(kind, key)] = vm
-        self._supported.clear()
-        self._zero_sets.clear()
+        self._zero_masks.clear()
 
     def monomial(self, v: int) -> VertexMap:
         key = ("M", v)
@@ -86,29 +84,27 @@ class ClassProvider:
         when `members` omits exactly one vertex v, the Thom class when
         `members` is admissible.  Anything else is rejected."""
         members = frozenset(members)
-        if members in self._supported:
-            return self._supported[members]
         everything = frozenset(self.ctx.vertices)
         if len(members) == self.ctx.vertex_count - 1 and members < everything:
             (v,) = everything - members
-            vm = 1 - self.monomial(v)
-        elif self.ctx.is_admissible(members):
-            vm = self.thom(members)
-        else:
-            raise ValueError(
-                f"{sorted(members)} is neither the complement of a single vertex nor admissible"
-            )
-        self._supported[members] = vm
-        return vm
+            return 1 - self.monomial(v)
+        if self.ctx.is_admissible(members):
+            return self.thom(members)
+        raise ValueError(
+            f"{sorted(members)} is neither the complement of a single vertex nor admissible"
+        )
 
-    def zero_set(self, members) -> frozenset[int]:
-        """The vertices where the supported class of `members` is zero, read
-        from its values (not from its expected support)."""
+    def zero_mask(self, members) -> int:
+        """The vertices where the supported class of `members` is zero, as a
+        bitmask with bit v - 1 for vertex v, read from its values (not from
+        its expected support)."""
         members = frozenset(members)
-        if members not in self._zero_sets:
+        mask = self._zero_masks.get(members)
+        if mask is None:
             vm = self.supported(members)
-            self._zero_sets[members] = frozenset(v for v in self.ctx.vertices if vm[v].is_zero())
-        return self._zero_sets[members]
+            mask = sum(1 << (v - 1) for v in self.ctx.vertices if vm[v].is_zero())
+            self._zero_masks[members] = mask
+        return mask
 
 
 def _provider(ctx: QuadricGraph, provider: ClassProvider | None) -> ClassProvider:
@@ -121,27 +117,20 @@ def check_product_vanishing(ctx, family, provider=None) -> bool:
     `family` must consist of valid index sets with empty overall intersection
     (duplicates are allowed -- they only repeat factors).  Values multiply in
     an integral domain, so the product is zero at a vertex iff some factor is
-    zero there: the answer is whether the factors' zero sets cover every
+    zero there: the answer is whether the factors' zero masks cover every
     vertex.  No polynomial is multiplied.
     """
     provider = _provider(ctx, provider)
     family = [frozenset(j) for j in family]
     if not family:
         raise ValueError("family must be nonempty")
-    intersection = frozenset(ctx.vertices)
-    for j in family:
-        intersection &= j
+    intersection = frozenset.intersection(*family)
     if intersection:
         raise ValueError(f"family intersection {sorted(intersection)} is nonempty")
-    return _zero_sets_cover(ctx, family, provider)
-
-
-def _zero_sets_cover(ctx, family, provider: ClassProvider) -> bool:
-    """Whether the zero sets of the family's supported classes cover every vertex."""
-    zeros: set[int] = set()
+    zeros = 0
     for j in family:
-        zeros |= provider.zero_set(j)
-    return len(zeros) == ctx.vertex_count
+        zeros |= provider.zero_mask(j)
+    return zeros == (1 << ctx.vertex_count) - 1
 
 
 def spare_pole_pair(ctx, members) -> tuple[int, int]:
@@ -224,10 +213,7 @@ def random_empty_intersection_family(ctx, rng: random.Random, universe=None) -> 
     for _ in range(200):
         size = rng.randint(2, min(6, len(universe)))
         family = [universe[rng.randrange(len(universe))] for _ in range(size)]
-        intersection = family[0]
-        for j in family[1:]:
-            intersection = intersection & j
-        if not intersection:
+        if not frozenset.intersection(*family):
             return family
     # Fallback: force emptiness with a complement and its missing vertex.
     v = rng.randrange(ctx.vertex_count) + 1
@@ -336,34 +322,24 @@ def verify_all(
             )
 
     if "product_vanishing" in kinds:
-        # Every family below is validated once, where it is chosen: the
-        # exhaustive loop keeps only empty intersections, and the random
-        # families are built with one.  So the decision is taken without the
-        # argument checks of check_product_vanishing.
         universe = support_index_sets(ctx)
         sorted_members = {j: sorted(j) for j in universe}  # shared by the records
         for size in range(1, family_size_bound + 1):
             for family in combinations(universe, size):
-                intersection = family[0]
-                for j in family[1:]:
-                    intersection = intersection & j
-                    if not intersection:
-                        break
-                if intersection:
+                if frozenset.intersection(*family):
                     continue
                 record(
                     "product_vanishing",
                     {"family": sorted([sorted_members[j] for j in family])},
-                    _zero_sets_cover(ctx, family, provider),
+                    check_product_vanishing(ctx, family, provider),
                 )
         rng = random.Random(seed)
         for _ in range(random_family_count):
             family = random_empty_intersection_family(ctx, rng, universe)
-            members = [sorted_members[j] if j in sorted_members else sorted(j) for j in family]
             record(
                 "product_vanishing",
-                {"family": sorted(members), "random": True},
-                _zero_sets_cover(ctx, family, provider),
+                {"family": sorted([sorted_members[j] for j in family]), "random": True},
+                check_product_vanishing(ctx, family, provider),
             )
 
     return RelationReport(ctx.n, tuple(records))

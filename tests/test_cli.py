@@ -267,6 +267,37 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "gen", "--n", "1", "--class", "Q")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, source, message",
+    [
+        (["graph", "--n", "0"], None, "n must be a positive int, got 0"),
+        (["gen", "--n", "1", "--class", "M", "--vertex", "9"], None, "vertex 9 out of range 1..4"),
+        (["gen", "--n", "1", "--class", "F", "--subset", "1,4"], None, "neither the complement"),
+        (["check", "--n", "1", "--in", "@in"], b"\xff", "can't decode byte 0xff"),
+        (["decompose", "--n", "1", "--in", "@in"], b'{"n": 1' + b"0" * 5000 + b"}", "Exceeds the limit"),
+    ],
+)
+def test_bad_values_are_usage_errors(tmp_path, capsys, argv, source, message):
+    if source is not None:
+        path = tmp_path / "in.json"
+        path.write_bytes(source)
+        argv = [str(path) if a == "@in" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli_module, "verify_all", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["verify", "--n", "1"])
+    assert capsys.readouterr().err == ""
+
+
 def test_roundtrip_through_cli_files(tmp_path, capsys):
     ctx = QuadricGraph(1)
     gen_path = tmp_path / "m2.json"

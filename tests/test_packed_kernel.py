@@ -18,6 +18,7 @@ from kquadric.laurent import (
     divisible_by_binomial,
     emit,
     monomial,
+    one,
     one_minus_monomial,
 )
 
@@ -181,3 +182,14 @@ def test_items_follow_tuple_order_with_negative_exponents():
     assert p.support() == sorted(exponents)
     assert [e for e, _ in p.items()] == sorted(exponents)
     assert p.items() == sorted((e, k + 1) for k, e in enumerate(exponents))
+
+
+def test_operations_leave_operand_bounds_unchanged():
+    # c is 1 but tracks the bound 2^14, so c * c and the coset pass both need
+    # a wider layout than c's; they must take it without rewriting c.
+    c = monomial((2**13, 0)) * monomial((-(2**13), 0))
+    bound = c._bound
+    assert c == one(2)
+    assert c * c == one(2) and (c * c)._layout.width > c._layout.width
+    assert not divisible_by_binomial(c, (1, 0))
+    assert c._bound == bound

@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import kquadric.relations as relations
 from kquadric.gkm import VertexMap
 from kquadric.laurent import monomial, one
 from kquadric.quadric import QuadricGraph, monomial_class, thom_class
@@ -140,6 +141,20 @@ def test_override_after_a_sweep_drops_cached_supported_classes(q1):
     report = verify_all(q1, random_family_count=10, seed=3, provider=provider)
     assert any(r.kind == "product_vanishing" for r in report.failures())
     assert report == verify_all(q1, random_family_count=10, seed=3, provider=fresh)
+
+
+def test_verify_all_decides_every_family_through_check_product_vanishing(monkeypatch):
+    calls = []
+    original = relations.check_product_vanishing
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(relations, "check_product_vanishing", counted)
+    report = verify_all(QuadricGraph(2), seed=3)
+    families = [r for r in report.records if r.kind == "product_vanishing"]
+    assert families and len(calls) == len(families)
 
 
 # -- spare pole pair -------------------------------------------------------------
