@@ -5,9 +5,10 @@ stderr.  Exit status 0 means success / all checks passed, 1 means a
 verification failed or a check came out negative, 2 means a usage or I/O
 error; an internal fault is not a usage error and ends in a traceback.
 Output is byte-identical for identical flags and seed; --pretty only adds
-whitespace.  A request above a stated bound (`MAX_N` for --n and --max-n,
-`MAX_FAMILY_BOUND`, `MAX_TRIALS`) is refused with exit status 2 before any
-graph is built.
+whitespace.  A request outside a stated bound (--n and --max-n at most
+`MAX_N`, --max-n and --trials at least 1, --family-bound from 0 to
+`MAX_FAMILY_BOUND`, --trials at most `MAX_TRIALS`) is refused with exit
+status 2 before any graph is built.
 """
 from __future__ import annotations
 
@@ -59,18 +60,24 @@ MAX_N = 8
 MAX_FAMILY_BOUND = 4
 MAX_TRIALS = 10_000
 
+# (attribute, flag, least value or None, greatest value).  A --n below 1 is
+# refused by QuadricGraph itself.
 _LIMITS = (
-    ("n", "--n", MAX_N),
-    ("max_n", "--max-n", MAX_N),
-    ("family_bound", "--family-bound", MAX_FAMILY_BOUND),
-    ("trials", "--trials", MAX_TRIALS),
+    ("n", "--n", None, MAX_N),
+    ("max_n", "--max-n", 1, MAX_N),
+    ("family_bound", "--family-bound", 0, MAX_FAMILY_BOUND),
+    ("trials", "--trials", 1, MAX_TRIALS),
 )
 
 
 def _check_limits(args) -> None:
-    for dest, flag, limit in _LIMITS:
+    for dest, flag, least, limit in _LIMITS:
         value = getattr(args, dest, None)
-        if value is not None and value > limit:
+        if value is None:
+            continue
+        if least is not None and value < least:
+            raise UsageError(f"{flag} must be at least {least}")
+        if value > limit:
             raise UsageError(f"{flag} {value} exceeds the supported maximum {limit}")
 
 
@@ -83,8 +90,11 @@ def _dump(doc, pretty: bool) -> str:
 def _write(doc, args) -> None:
     text = _dump(doc, args.pretty)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -243,8 +253,6 @@ def _selfcheck_one(n: int, trials: int, seed: int) -> dict:
 
 
 def _cmd_selfcheck(args) -> int:
-    if args.max_n < 1:
-        raise UsageError("--max-n must be at least 1")
     runs = [_selfcheck_one(n, args.trials, args.seed) for n in range(1, args.max_n + 1)]
     doc = {
         "max_n": args.max_n,
@@ -299,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--family-bound",
         type=int,
         default=3,
-        help=f"largest exhaustive product-vanishing family (at most {MAX_FAMILY_BOUND})",
+        help=f"largest exhaustive product-vanishing family (0 to {MAX_FAMILY_BOUND})",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pretty", action="store_true")
@@ -313,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("selfcheck", help="run the full verification battery for n = 1..max-n")
-    p.add_argument("--max-n", dest="max_n", type=int, required=True, help=f"at most {MAX_N}")
-    p.add_argument("--trials", type=int, default=25, help=f"at most {MAX_TRIALS}")
+    p.add_argument("--max-n", dest="max_n", type=int, required=True, help=f"1 to {MAX_N}")
+    p.add_argument("--trials", type=int, default=25, help=f"1 to {MAX_TRIALS}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_selfcheck)

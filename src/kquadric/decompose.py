@@ -18,6 +18,14 @@ coefficients off vertex by vertex: h_k is the exact quotient of the running
 residual at vertex k by those diagonal binomials, and subtracting h_k * B_k
 zeroes the vertex.  Division failure at stage k certifies that the input was
 not a K-class; conversely every K-class decomposes and recomposes exactly.
+
+The residual is one in-place accumulator per vertex (`laurent._Accumulator`),
+so a stage costs the products h_k * B_k(v) at the vertices where B_k(v) is
+nonzero and nothing else: no vertex value is copied.  The diagonal product
+B_k(k) * h_k is the one built with `*` and subtracted; it is what makes the
+next stage's triangular check meaningful, since vertex k is zero afterwards
+only if B_k(k) really is the product of its diagonal factors.  `recompose`
+sums h_k * B_k(v) into one accumulator per vertex the same way.
 """
 from __future__ import annotations
 
@@ -30,6 +38,7 @@ from .laurent import (
     LaurentPolynomial,
     NonDivisibleError,
     ParseError,
+    _Accumulator,
     div_exact_product,
     from_json_dict,
     one,
@@ -137,13 +146,13 @@ def decompose(ctx: QuadricGraph, f: VertexMap, basis: CanonicalBasis | None = No
         raise ValueError(f"vertex map has {f.m} variables, expected {ctx.m}")
     if basis is None:
         basis = _shared_basis(ctx.n)
-    residual = f
+    residual = {v: _Accumulator(f[v]) for v in ctx.vertices}
     coefficients = []
     for k in ctx.vertices:
         if not all(residual[l].is_zero() for l in range(1, k)):
             raise RuntimeError(f"residual not triangular at stage {k}")
         try:
-            h_k = div_exact_product(residual[k], basis.diagonal_factors[k - 1])
+            h_k = div_exact_product(residual[k].value(), basis.diagonal_factors[k - 1])
         except NonDivisibleError as exc:
             report = is_k_class(ctx.graph, f)
             raise NotAKClassError(
@@ -154,8 +163,12 @@ def decompose(ctx: QuadricGraph, f: VertexMap, basis: CanonicalBasis | None = No
             ) from exc
         coefficients.append(h_k)
         if not h_k.is_zero():
-            residual = residual - basis.classes[k - 1] * h_k
-    if not residual.is_zero():
+            b_k = basis.classes[k - 1]
+            residual[k].subtract(b_k[k] * h_k)
+            for v, acc in residual.items():
+                if v != k and not b_k[v].is_zero():
+                    acc.add_product(h_k, b_k[v], -1)
+    if not all(acc.is_zero() for acc in residual.values()):
         raise RuntimeError(f"nonzero terminal remainder after stage {ctx.vertex_count}")
     return Decomposition(tuple(coefficients))
 
@@ -171,11 +184,13 @@ def recompose(ctx: QuadricGraph, coefficients, basis: CanonicalBasis | None = No
         )
     if basis is None:
         basis = _shared_basis(ctx.n)
-    result = VertexMap.constant(ctx.vertices, zero(ctx.m))
+    sums = {v: _Accumulator(zero(ctx.m)) for v in ctx.vertices}
     for h_k, b_k in zip(coefficients, basis.classes):
         if not h_k.is_zero():
-            result = result + b_k * h_k
-    return result
+            for v, acc in sums.items():
+                if not b_k[v].is_zero():
+                    acc.add_product(h_k, b_k[v])
+    return VertexMap({v: acc.value() for v, acc in sums.items()})
 
 
 def localization_index_set(ctx: QuadricGraph, v: int) -> tuple[int, ...]:

@@ -25,6 +25,15 @@ from these tracked bounds only, never by re-measuring an operand.  Widths run
 16, 32, 64, ... bits, an operation between two widths repacks the narrower
 operand, and `==` compares across widths.
 
+In-place sums.  The private `_Accumulator` is a mutable running sum for the
+package's own loops (`decompose`, `recompose`).  Its one fused operation,
+acc += sign·h·b, walks the term pairs of h and b and writes straight into the
+accumulator's dict, so neither the product nor a copy of the sum is built;
+`__mul__` runs the same pair loop into an empty dict.  It widens by the same
+tracked-bound rule: the bound becomes max(acc, h + b), and the terms are
+repacked only when that reaches the bias.  `value()` returns a polynomial
+over a copy of the terms, so no polynomial ever aliases an accumulator.
+
 Besides the ring operations the module provides the two division primitives
 everything downstream is built on:
 
@@ -122,8 +131,9 @@ def _wider(a: _Layout, b: _Layout) -> _Layout:
     return a if a.width >= b.width else b
 
 
-def _keyed(p: "LaurentPolynomial", layout: _Layout) -> dict[int, int]:
-    """p's terms keyed in `layout`, which must be at least as wide as p's."""
+def _keyed(p, layout: _Layout) -> dict[int, int]:
+    """The terms of p (a polynomial or an accumulator) keyed in `layout`,
+    which must be at least as wide as p's."""
     if p._layout is layout:
         return p._terms
     unpack, pack = p._layout.unpack, layout.pack
@@ -237,13 +247,7 @@ class LaurentPolynomial:
             a, b = (b if sign == 1 else {key: -c for key, c in b.items()}), a
             sign = 1
         result = dict(a)
-        get = result.get
-        for key, c in b.items():
-            v = get(key, 0) + sign * c
-            if v:
-                result[key] = v
-            else:  # c != 0, so a zero sum means the key was present
-                del result[key]
+        _merge_into(result, b, sign)
         return LaurentPolynomial._raw(self.m, result, layout, max(self._bound, other._bound))
 
     def __add__(self, other):
@@ -280,21 +284,8 @@ class LaurentPolynomial:
         bound = self._bound + other._bound
         if bound >= layout.bias:
             layout = _layout_for(self.m, bound)
-        a, b = _keyed(self, layout), _keyed(other, layout)
-        if len(a) > len(b):
-            a, b = b, a
-        zero_key = layout.zero
         result: dict[int, int] = {}
-        get = result.get
-        for k1, c1 in a.items():
-            base = k1 - zero_key
-            for k2, c2 in b.items():
-                key = base + k2
-                v = get(key, 0) + c1 * c2
-                if v:
-                    result[key] = v
-                else:  # c1 * c2 != 0, so a zero sum means the key was present
-                    del result[key]
+        _mul_into(result, _keyed(self, layout), _keyed(other, layout), layout.zero, 1)
         return LaurentPolynomial._raw(self.m, result, layout, bound)
 
     __rmul__ = __mul__
@@ -343,6 +334,75 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self.m}, {dict(self.items())!r})"
+
+
+def _merge_into(result: dict[int, int], terms: dict[int, int], sign: int) -> None:
+    """result += sign * terms, on packed keys of one layout."""
+    get = result.get
+    for key, c in terms.items():
+        v = get(key, 0) + sign * c
+        if v:
+            result[key] = v
+        else:  # c != 0, so a zero sum means the key was present
+            del result[key]
+
+
+def _mul_into(result: dict[int, int], a: dict[int, int], b: dict[int, int], zero_key: int, sign: int) -> None:
+    """result += sign * a * b, on packed keys of one layout whose fields hold
+    every exponent of the product; `zero_key` is that layout's packed zero."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = result.get
+    for k1, c1 in a.items():
+        base = k1 - zero_key
+        c1 *= sign
+        for k2, c2 in b.items():
+            key = base + k2
+            v = get(key, 0) + c1 * c2
+            if v:
+                result[key] = v
+            else:  # c1 * c2 != 0, so a zero sum means the key was present
+                del result[key]
+
+
+class _Accumulator:
+    """A mutable running sum, starting at p (see "In-place sums" above)."""
+
+    __slots__ = ("m", "_terms", "_layout", "_bound")
+
+    def __init__(self, p: LaurentPolynomial):
+        self.m = p.m
+        self._terms = dict(p._terms)
+        self._layout = p._layout
+        self._bound = p._bound
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def _fit(self, layout: _Layout, bound: int) -> _Layout:
+        """Hold the terms in `layout`, or wider if `bound` needs it, and return it."""
+        if bound >= layout.bias:
+            layout = _layout_for(self.m, bound)
+        self._terms = _keyed(self, layout)
+        self._layout = layout
+        self._bound = bound
+        return layout
+
+    def subtract(self, p: LaurentPolynomial) -> None:
+        """self -= p."""
+        layout = self._fit(_wider(self._layout, p._layout), max(self._bound, p._bound))
+        _merge_into(self._terms, _keyed(p, layout), -1)
+
+    def add_product(self, h: LaurentPolynomial, b: LaurentPolynomial, sign: int = 1) -> None:
+        """self += sign * h * b, without building the product."""
+        layout = self._fit(
+            _wider(_wider(self._layout, h._layout), b._layout),
+            max(self._bound, h._bound + b._bound),
+        )
+        _mul_into(self._terms, _keyed(h, layout), _keyed(b, layout), layout.zero, sign)
+
+    def value(self) -> LaurentPolynomial:
+        return LaurentPolynomial._raw(self.m, dict(self._terms), self._layout, self._bound)
 
 
 def _packed(m: int, terms: dict[Exponent, int]) -> tuple[dict[int, int], _Layout, int]:

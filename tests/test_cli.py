@@ -255,6 +255,34 @@ def test_oversized_requests_are_refused_before_any_graph_is_built(capsys, monkey
     assert err == f"error: {flag} {argv[-1]} exceeds the supported maximum {int(argv[-1]) - 1}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, flag, least",
+    [
+        (["verify", "--n", "1", "--family-bound", "-1"], "--family-bound", 0),
+        (["selfcheck", "--max-n", "1", "--trials", "0"], "--trials", 1),
+        (["selfcheck", "--max-n", "0"], "--max-n", 1),
+    ],
+)
+def test_undersized_requests_are_refused_before_any_graph_is_built(capsys, monkeypatch, argv, flag, least):
+    def no_graph(n):
+        raise AssertionError("a graph was built for a refused request")
+
+    monkeypatch.setattr(cli_module, "QuadricGraph", no_graph)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be at least {least}\n"
+
+
+def test_unwritable_out_path_is_an_io_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "graph", "--n", "1", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert not path.exists()
+
+
 def test_requests_at_the_bounds_are_accepted(capsys):
     assert run(capsys, "graph", "--n", str(MAX_N))[0] == 0
     code, out, _ = run(capsys, "verify", "--n", "1", "--family-bound", str(MAX_FAMILY_BOUND))
