@@ -13,7 +13,6 @@ from .decompose import (
     NotAKClassError,
     canonical_basis,
     decompose,
-    localization_index_set,
     random_k_class,
     recompose,
     verify_free_module,
@@ -29,7 +28,6 @@ from .gkm import (
     check_axial_axioms,
     check_connection_involution,
     check_three_independence,
-    connection_preserves_subset,
     derive_connection,
     is_k_class,
 )

@@ -114,7 +114,7 @@ class Decomposition:
     def from_json_dict(cls, ctx: QuadricGraph, doc) -> "Decomposition":
         if not isinstance(doc, dict) or set(doc) != {"n", "coeffs"}:
             raise ParseError("decomposition document must have exactly the keys 'n' and 'coeffs'")
-        if doc["n"] != ctx.n:
+        if type(doc["n"]) is not int or doc["n"] != ctx.n:
             raise ParseError(f"decomposition is for n={doc['n']!r}, context expects n={ctx.n}")
         coeffs = doc["coeffs"]
         if not isinstance(coeffs, list) or len(coeffs) != ctx.vertex_count:
@@ -191,15 +191,6 @@ def recompose(ctx: QuadricGraph, coefficients, basis: CanonicalBasis | None = No
                 if not b_k[v].is_zero():
                     acc.add_product(h_k, b_k[v])
     return VertexMap({v: acc.value() for v, acc in sums.items()})
-
-
-def localization_index_set(ctx: QuadricGraph, v: int) -> tuple[int, ...]:
-    """The vertices whose monomial classes generate the localized ring at v:
-    1..n+2 minus v itself (or minus its antipode when v > n+1)."""
-    if not 1 <= v <= ctx.vertex_count:
-        raise ValueError(f"vertex {v} out of range 1..{ctx.vertex_count}")
-    drop = v if v <= ctx.n + 1 else ctx.antipode(v)
-    return tuple(i for i in range(1, ctx.n + 3) if i != drop)
 
 
 # -- seeded random material for the certification sweep -----------------------

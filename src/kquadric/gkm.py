@@ -428,21 +428,3 @@ def check_connection_involution(graph: GkmGraph, connection: Connection) -> bool
             if connection.transport(back, connection.transport(e, e_prime)) != e_prime:
                 return False
     return True
-
-
-def connection_preserves_subset(
-    graph: GkmGraph, connection: Connection, members: Iterable[int]
-) -> bool:
-    """True iff for each edge inside `members` the connection matches edges into
-    `members` with edges into `members` (and likewise for edges leaving it)."""
-    inside = frozenset(members)
-    for i in sorted(inside):
-        for j in sorted(inside):
-            if i == j or not graph.has_edge(i, j):
-                continue
-            e = (i, j)
-            for e_prime in graph.edges_from(i):
-                target = connection.transport(e, e_prime)
-                if (e_prime[1] in inside) != (target[1] in inside):
-                    return False
-    return True

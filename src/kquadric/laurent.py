@@ -43,27 +43,26 @@ everything downstream is built on:
 * ``div_exact_binomial(g, alpha)`` produces the exact quotient, which along
   each coset is the running sum of g's coefficients.
 
-Both rest on one pass that buckets the terms of g by coset of Z·alpha: the
-coset of e is keyed by e - t·alpha with t = ⌊e_j / alpha_j⌋ for the
-coordinate j of largest |alpha_j|, which is also right for non-primitive
-alpha.  On packed keys that is one field read, one floor division and
-key - t·P(alpha).  Then |t| <= |e_j|/|alpha_j| + 1, so every coordinate of
-the representative satisfies |e_i - t·alpha_i| <= 2·bound + max|alpha|; the
-pass widens first when that would not fit.  Quotient exponents lie between
-two exponents of g on their coset line, so they stay within g's bound.
+Both rest on one pass that sums the coefficients of g along each coset line
+e + Z·alpha, keyed by the representative e - t·alpha with t = ⌊e_j / alpha_j⌋
+for the coordinate j of largest |alpha_j|, which is also right for
+non-primitive alpha.  On packed keys that is one field read, one floor
+division and key - t·P(alpha).  Then |t| <= |e_j|/|alpha_j| + 1, so every
+coordinate of the representative satisfies |e_i - t·alpha_i| <= 2·bound +
+max|alpha|; the pass widens first when that would not fit.  Division then
+fills the quotient in one walk over g's keys in sorted order, in which every
+line is met in increasing t.  Quotient exponents lie between two exponents of
+g on their line, so they stay within g's bound.
 """
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from operator import itemgetter
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
 
 BASE_WIDTH = 16  # bits per exponent field; wider layouts double it
-
-_coefficient = itemgetter(1)
 
 
 class NonDivisibleError(ArithmeticError):
@@ -389,9 +388,14 @@ class _Accumulator:
         return layout
 
     def subtract(self, p: LaurentPolynomial) -> None:
-        """self -= p."""
+        """self -= p.  When p equals the running sum, as the diagonal product
+        does at every stage of `decompose`, one dict comparison empties it."""
         layout = self._fit(_wider(self._layout, p._layout), max(self._bound, p._bound))
-        _merge_into(self._terms, _keyed(p, layout), -1)
+        terms = _keyed(p, layout)
+        if terms == self._terms:
+            self._terms.clear()
+        else:
+            _merge_into(self._terms, terms, -1)
 
     def add_product(self, h: LaurentPolynomial, b: LaurentPolynomial, sign: int = 1) -> None:
         """self += sign * h * b, without building the product."""
@@ -454,16 +458,16 @@ def _checked_alpha(alpha, m: int) -> Exponent:
     return alpha
 
 
-def _coset_frame(g: LaurentPolynomial, alpha: Exponent):
-    """g's terms keyed in a layout that also holds every coset representative.
+def _line_sums(g: LaurentPolynomial, alpha: Exponent):
+    """Sum g's coefficients along every coset line of Z·alpha.
 
     The coset of Z·alpha through e is keyed by the packed representative
     e - t·alpha with t = ⌊e_j / alpha_j⌋ for the first j of largest |alpha_j|.
     Adding alpha to e adds exactly 1 to t, so two exponents share a key iff
     their difference lies in Z·alpha; this holds for non-primitive alpha too.
-    Returns (terms, layout, step, (shift, mask, bias, alpha_j)): with them,
-    t = (((key >> shift) & mask) - bias) // alpha_j and the representative
-    is key - t * step, where step is the packed P(alpha).
+    Returns (terms, layout, step, divisible): g's terms keyed in a layout that
+    also holds every representative, that layout, the packed step P(alpha),
+    and whether every line sums to zero.
     """
     top = max(abs(a) for a in alpha)
     j = next(i for i, a in enumerate(alpha) if abs(a) == top)
@@ -471,8 +475,14 @@ def _coset_frame(g: LaurentPolynomial, alpha: Exponent):
     reach = 2 * g._bound + top
     if reach >= layout.bias:
         layout = _layout_for(g.m, reach)
-    reader = (layout.shifts[j], layout.mask, layout.bias, alpha[j])
-    return _keyed(g, layout), layout, layout.offset(alpha), reader
+    terms, step = _keyed(g, layout), layout.offset(alpha)
+    shift, mask, bias, a_j = layout.shifts[j], layout.mask, layout.bias, alpha[j]
+    sums: dict[int, int] = {}
+    get = sums.get
+    for key, c in terms.items():
+        rep = key - (((key >> shift) & mask) - bias) // a_j * step
+        sums[rep] = get(rep, 0) + c
+    return terms, layout, step, not any(sums.values())
 
 
 def divisible_by_binomial(g: LaurentPolynomial, alpha: Iterable[int]) -> bool:
@@ -482,54 +492,36 @@ def divisible_by_binomial(g: LaurentPolynomial, alpha: Iterable[int]) -> bool:
     coset sums to zero.  This is exact: modulo y^alpha - 1 the ring is the
     group ring of Z^m / Z·alpha.
     """
-    alpha = _checked_alpha(alpha, g.m)
-    terms, _, step, (shift, mask, bias, a_j) = _coset_frame(g, alpha)
-    sums: dict[int, int] = {}
-    get = sums.get
-    for key, c in terms.items():
-        rep = key - (((key >> shift) & mask) - bias) // a_j * step
-        sums[rep] = get(rep, 0) + c
-    return not any(sums.values())
+    return _line_sums(g, _checked_alpha(alpha, g.m))[3]
 
 
 def div_exact_binomial(g: LaurentPolynomial, alpha: Iterable[int]) -> LaurentPolynomial:
     """The exact quotient q with (1 - y^alpha) * q == g.
 
-    The terms of g are bucketed by coset as (t, coefficient) pairs.  Within
-    one bucket, the coefficient of g at rep + t·alpha is q(t) - q(t - 1), so
-    q at rep + s·alpha is the sum of the bucket's coefficients over t <= s;
-    it is nonzero only for s from the bucket's least t up to, not including,
-    its greatest.  Raises NonDivisibleError, before any quotient term is
-    built, when some bucket does not sum to zero: a bucket's quotient can span
-    far more terms than g has.
+    Along one coset line the coefficient of g at e is q(e) - q(e - alpha), so
+    q(e) = q(e - alpha) + g(e).  The keys of g are walked in sorted order
+    (reversed when P(alpha) < 0), which meets every line in increasing t; a
+    nonzero running value is stored at e and filled forward to the next key
+    of g on the line.  Raises NonDivisibleError when some line does not sum
+    to zero, before any quotient term is built: the fill relies on every line
+    ending at zero, and a failing line can span far more terms than g has.
     """
     alpha = _checked_alpha(alpha, g.m)
-    terms, layout, step, (shift, mask, bias, a_j) = _coset_frame(g, alpha)
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for key, c in terms.items():
-        t = (((key >> shift) & mask) - bias) // a_j
-        rep = key - t * step
-        bucket = buckets.get(rep)
-        if bucket is None:
-            buckets[rep] = [(t, c)]
-        else:
-            bucket.append((t, c))
-    for bucket in buckets.values():
-        if sum(map(_coefficient, bucket)):
-            raise NonDivisibleError(
-                f"a polynomial of {len(terms)} terms is not divisible by 1 - y^{list(alpha)}"
-            )
+    terms, layout, step, divisible = _line_sums(g, alpha)
+    if not divisible:
+        raise NonDivisibleError(
+            f"a polynomial of {len(terms)} terms is not divisible by 1 - y^{list(alpha)}"
+        )
     quotient: dict[int, int] = {}
-    for rep, bucket in buckets.items():
-        bucket.sort()
-        running = 0
-        for (t, c), (t_next, _) in zip(bucket, bucket[1:]):
-            running += c
-            if running:
-                key = rep + t * step
-                for _ in range(t, t_next):
-                    quotient[key] = running
-                    key += step
+    get = quotient.get
+    for key in sorted(terms, reverse=step < 0):
+        running = get(key - step, 0) + terms[key]
+        if running:
+            quotient[key] = running
+            key += step
+            while key not in terms:
+                quotient[key] = running
+                key += step
     return LaurentPolynomial._raw(g.m, quotient, layout, g._bound)
 
 
@@ -591,6 +583,8 @@ def from_json_dict(doc) -> LaurentPolynomial:
             value = int(coef)
         except ValueError:
             raise ParseError(f"term {k}: 'coef' is not a decimal integer: {coef!r}") from None
+        if str(value) != coef:  # int() also takes signs, spaces, '_' and non-ASCII digits
+            raise ParseError(f"term {k}: 'coef' is not in canonical decimal form: {coef!r}")
         if value == 0:
             raise ParseError(f"term {k} ({exp!r}): zero coefficient violates canonical form")
         key = tuple(exp)

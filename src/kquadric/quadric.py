@@ -205,7 +205,7 @@ def vertex_map_to_json_dict(ctx: QuadricGraph, vm: VertexMap) -> dict:
 def vertex_map_from_json_dict(ctx: QuadricGraph, doc) -> VertexMap:
     if not isinstance(doc, dict) or set(doc) != {"n", "values"}:
         raise ParseError("vertex map document must have exactly the keys 'n' and 'values'")
-    if doc["n"] != ctx.n:
+    if type(doc["n"]) is not int or doc["n"] != ctx.n:
         raise ParseError(f"vertex map is for n={doc['n']!r}, context expects n={ctx.n}")
     values_doc = doc["values"]
     if not isinstance(values_doc, dict):

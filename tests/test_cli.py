@@ -132,6 +132,31 @@ def test_check_wrong_n_is_usage_error(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("coef", "1_0", "canonical decimal form: '1_0'"),
+        ("coef", " 7", "canonical decimal form: ' 7'"),
+        ("coef", "+3", "canonical decimal form: '+3'"),
+        ("coef", "\u0663", "canonical decimal form: '\u0663'"),
+        ("n", True, "vertex map is for n=True"),
+    ],
+)
+@pytest.mark.parametrize("command", ["check", "decompose"])
+def test_lax_json_input_is_a_usage_error(tmp_path, capsys, command, field, value, message):
+    doc = vertex_map_to_json_dict(QuadricGraph(1), monomial_class(QuadricGraph(1), 1))
+    if field == "n":
+        doc["n"] = value
+    else:
+        doc["values"]["1"]["terms"][0]["coef"] = value
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--n", "1", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1 and message in err
+
+
 def test_verify_all_relations(capsys):
     code, out, _ = run(capsys, "verify", "--n", "1", "--seed", "5")
     assert code == 0

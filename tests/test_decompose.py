@@ -3,9 +3,12 @@ import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kquadric
 from kquadric.decompose import (
@@ -13,7 +16,7 @@ from kquadric.decompose import (
     NotAKClassError,
     canonical_basis,
     decompose,
-    localization_index_set,
+    generator_pool,
     random_k_class,
     recompose,
     verify_free_module,
@@ -21,6 +24,7 @@ from kquadric.decompose import (
 from kquadric.gkm import VertexMap, is_k_class
 from kquadric.laurent import (
     LaurentPolynomial,
+    ParseError,
     monomial,
     one,
     one_minus_monomial,
@@ -123,6 +127,34 @@ def test_decompose_rejects_non_k_class(q1):
     assert err.value.stage >= 1
     assert (1, 2) in err.value.failing_edges
     assert (1, 3) in err.value.failing_edges
+
+
+@lru_cache(maxsize=None)
+def context(n):
+    ctx = QuadricGraph(n)
+    return ctx, canonical_basis(ctx), generator_pool(ctx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32), st.data())
+def test_decompose_fails_exactly_when_is_k_class_fails(n, seed, data):
+    """A random K-class, with sign * y^e added at the vertices of a random set
+    S: still a K-class when S is empty or every vertex, otherwise never."""
+    ctx, basis, pool = context(n)
+    f = random_k_class(ctx, random.Random(seed), pool)
+    support = sorted({e for v in ctx.vertices for e in f[v].support()}) or [(0,) * ctx.m]
+    e, sign = data.draw(st.sampled_from(support)), data.draw(st.sampled_from((1, -1)))
+    bump = LaurentPolynomial(ctx.m, {e: sign})
+    changed = data.draw(st.sets(st.sampled_from(list(ctx.vertices))))
+    g = VertexMap({v: f[v] + bump if v in changed else f[v] for v in ctx.vertices})
+    report = is_k_class(ctx.graph, g)
+    assert report.ok == (len(changed) in (0, ctx.vertex_count))
+    if report.ok:
+        assert recompose(ctx, decompose(ctx, g, basis), basis) == g
+    else:
+        with pytest.raises(NotAKClassError) as err:
+            decompose(ctx, g, basis)
+        assert err.value.failing_edges == report.failing_edges
 
 
 def test_broken_basis_raises_under_optimize():
@@ -267,13 +299,6 @@ def test_restrict_at_values(q2):
         assert ratio[v] == monomial((1, 0, 0))
 
 
-def test_localization_index_sets(q2):
-    assert localization_index_set(q2, 1) == (2, 3, 4)
-    assert localization_index_set(q2, 2) == (1, 3, 4)
-    assert localization_index_set(q2, 5) == (1, 3, 4)  # antipode of 5 is 2
-    assert localization_index_set(q2, 6) == (2, 3, 4)
-
-
 def test_vertex_values_determine_the_class(q1):
     f = monomial_class(q1, 2)
     g = thom_class(q1, {2})
@@ -290,3 +315,11 @@ def test_decomposition_json_round_trip(q1):
     assert set(doc) == {"n", "coeffs"}
     assert len(doc["coeffs"]) == 4
     assert Decomposition.from_json_dict(q1, doc) == d
+
+
+def test_decomposition_json_rejects_a_boolean_n(q1):
+    # True == 1, so only the type check keeps it from passing as n=1.
+    doc = decompose(q1, monomial_class(q1, 4)).to_json_dict(q1)
+    doc["n"] = True
+    with pytest.raises(ParseError, match="n=True"):
+        Decomposition.from_json_dict(q1, doc)

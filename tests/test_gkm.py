@@ -10,7 +10,6 @@ from kquadric.gkm import (
     check_axial_axioms,
     check_connection_involution,
     check_three_independence,
-    connection_preserves_subset,
     derive_connection,
     integer_multiple_of,
     is_k_class,
@@ -245,6 +244,22 @@ def test_k_classes_closed_under_ring_ops(q2):
 
 
 # -- connection invariance of admissible subsets ---------------------------------------
+
+
+def connection_preserves_subset(graph, connection, members) -> bool:
+    """True iff for each edge inside `members` the connection matches edges into
+    `members` with edges into `members` (and likewise for edges leaving it)."""
+    inside = frozenset(members)
+    for i in sorted(inside):
+        for j in sorted(inside):
+            if i == j or not graph.has_edge(i, j):
+                continue
+            e = (i, j)
+            for e_prime in graph.edges_from(i):
+                target = connection.transport(e, e_prime)
+                if (e_prime[1] in inside) != (target[1] in inside):
+                    return False
+    return True
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -459,6 +459,15 @@ def test_parse_rejects_malformed_documents():
         from_json_dict({"m": 0, "terms": []})
 
 
+@pytest.mark.parametrize("coef", ["1_0", " 7", "+3", "\u0663"])
+def test_parse_rejects_non_canonical_coefficient_strings(coef):
+    # int() reads each of these (the last is ARABIC-INDIC DIGIT THREE), but
+    # only the canonical decimal string of a value is a valid coefficient.
+    int(coef)
+    with pytest.raises(ParseError, match="canonical decimal form"):
+        from_json_dict({"m": 1, "terms": [{"exp": [0], "coef": coef}]})
+
+
 def test_emitted_document_is_valid_json():
     doc = json.loads(emit(one(2) - monomial((1, -1))))
     assert set(doc) == {"m", "terms"}

@@ -5,14 +5,21 @@ Exponents are drawn on both sides of every field-width boundary (2^15, 2^31,
 crosses it), at ±10^12 and past 2^63, each shifted by small vectors so that
 terms of different operands meet and cancel.
 """
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kquadric
 import tuple_laurent as oracle
 from kquadric.laurent import (
     LaurentPolynomial,
     NonDivisibleError,
+    _Accumulator,
     div_exact_binomial,
     div_exact_product,
     divisible_by_binomial,
@@ -193,3 +200,67 @@ def test_operations_leave_operand_bounds_unchanged():
     assert c * c == one(2) and (c * c)._layout.width > c._layout.width
     assert not divisible_by_binomial(c, (1, 0))
     assert c._bound == bound
+
+
+# -- pinned division and accumulator cases --------------------------------------------
+
+
+@pytest.mark.parametrize("alpha", [(-1, 2), (0, -3)])
+def test_division_by_alpha_with_a_negative_packed_step(alpha):
+    # P(alpha) < 0, so the quotient is filled walking the keys in reverse order.
+    a = LaurentPolynomial(2, {(0, 0): 3, (1, -1): -2, (-4, 5): 1, (2, 2): 7})
+    g = a * one_minus_monomial(alpha)
+    assert g._layout.offset(alpha) < 0
+    assert div_exact_binomial(g, alpha) == a
+    assert packed_quotient(g, alpha) == oracle_quotient(tuple_terms(g), alpha)
+    with pytest.raises(NonDivisibleError):
+        div_exact_binomial(g + monomial((0, 1)), alpha)
+
+
+def test_division_fills_a_long_gap():
+    alpha = (2, -1, 1)
+    g = one_minus_monomial(tuple(1000 * x for x in alpha))
+    expected = LaurentPolynomial(3, {tuple(s * x for x in alpha): 1 for s in range(1000)})
+    assert div_exact_binomial(g, alpha) == expected
+
+
+def test_non_divisible_input_with_a_huge_gap_fails_before_any_fill():
+    # The one line of 1 + y^(2^40 alpha) sums to 2.  A quotient built before
+    # that check would start a fill of 2^40 terms and never finish.
+    script = """
+from kquadric.laurent import NonDivisibleError, div_exact_binomial, monomial, one
+alpha = (1, -2)
+g = one(2) + monomial(tuple(2**40 * x for x in alpha))
+try:
+    div_exact_binomial(g, alpha)
+except NonDivisibleError as exc:
+    print(exc)
+"""
+    src = str(Path(kquadric.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "a polynomial of 2 terms is not divisible by 1 - y^[1, -2]\n"
+
+
+def test_accumulator_subtracts_an_equal_polynomial_held_wider():
+    p = one_minus_monomial((1, -2)) * monomial((-3, 0), 5)
+    wide = (p * monomial((2**40, 0))) * monomial((-(2**40), 0))
+    assert wide._layout.width > p._layout.width and wide == p
+    for start, equal in ((p, wide), (wide, p)):
+        acc = _Accumulator(start)
+        acc.subtract(equal)
+        assert acc.is_zero() and acc.value().is_zero()
+
+
+def test_accumulator_subtracts_an_unequal_polynomial():
+    a = one_minus_monomial((1, -2)) * monomial((-3, 0), 5)
+    for b in (a + monomial((0, 1)), a * monomial((2**20, 0)), -a, one(2)):
+        acc = _Accumulator(a)
+        acc.subtract(b)
+        assert acc.value() == a - b

@@ -305,3 +305,13 @@ def test_vertex_map_json_checks_n(q1, q2):
 
     with pytest.raises(ParseError, match="n="):
         vertex_map_from_json_dict(q2, doc)
+
+
+def test_vertex_map_json_rejects_a_boolean_n(q1):
+    # True == 1, so only the type check keeps it from passing as n=1.
+    doc = vertex_map_to_json_dict(q1, monomial_class(q1, 1))
+    doc["n"] = True
+    from kquadric.laurent import ParseError
+
+    with pytest.raises(ParseError, match="n=True"):
+        vertex_map_from_json_dict(q1, doc)
