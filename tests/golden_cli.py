@@ -5,6 +5,10 @@ stdout and of stderr, and the exit code.  `tests/test_golden_cli.py` requires
 every case to reproduce `golden_cli.json` exactly, so a change to the Laurent
 kernel, the classes or the emitters that alters any emitted byte fails there.
 
+The `verify` cases cover every `--relations` filter at n = 1, 2, the family
+bounds 0, 2 and 4 at n = 2, one `--pretty` report, and the default n = 3
+report, so the relation sweep and its JSON emission are pinned byte for byte.
+
 Inputs for `check` and `decompose` are either the stdout of an earlier `gen`
 case, a hand-written indicator map (1 at vertex 1, 0 elsewhere, never a
 K-class), or a seeded `random_k_class`.
@@ -69,6 +73,14 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
             add(["decompose", "--n", str(n), "--in", "@in"], source)
         add(["check", "--n", str(n), "--in", "@in"], f"indicator:{n}")
         add(["decompose", "--n", str(n), "--in", "@in"], f"indicator:{n}")
+
+    for n in (1, 2):
+        for relations in ("all", "1", "2", "3", "4"):
+            add(["verify", "--n", str(n), "--relations", relations])
+    for bound in ("0", "2", "4"):
+        add(["verify", "--n", "2", "--family-bound", bound])
+    add(["verify", "--n", "2", "--relations", "1", "--family-bound", "2", "--pretty"])
+    add(["verify", "--n", "3", "--seed", "0"])
 
     add(["selfcheck", "--max-n", "2"])
     add(["bogus"])
