@@ -8,7 +8,9 @@ Output is byte-identical for identical flags and seed; --pretty only adds
 whitespace.  A request outside a stated bound (--n and --max-n at most
 `MAX_N`, --max-n and --trials at least 1, --family-bound from 0 to
 `MAX_FAMILY_BOUND`, --trials at most `MAX_TRIALS`) is refused with exit
-status 2 before any graph is built.
+status 2 before any graph is built; a `decompose` input with an exponent of
+absolute value above `MAX_EXPONENT` is refused with exit status 2 before it
+is decomposed.
 """
 from __future__ import annotations
 
@@ -55,8 +57,12 @@ def _from_input(build, *args, **kwargs):
 
 # Stated upper bounds.  At n = 8 a Thom class value already has up to 2^16
 # terms per vertex; at n = 3 a family bound of 4 enumerates 2.4 million
-# candidate families, each kept as a record.
+# candidate families, each kept as a record.  A coefficient of a decomposed
+# class can have quadratically many terms in its largest exponent: the n = 1
+# class M_1^N, a file of a few hundred bytes, has a coefficient of N(N - 1)
+# terms, about 65,000 at N = MAX_EXPONENT.
 MAX_N = 8
+MAX_EXPONENT = 256
 MAX_FAMILY_BOUND = 4
 MAX_TRIALS = 10_000
 
@@ -84,7 +90,8 @@ def _check_limits(args) -> None:
 def _dump(doc, pretty: bool) -> str:
     if pretty:
         return json.dumps(doc, indent=2) + "\n"
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    # Every document is built acyclic here, so the cycle check only costs time.
+    return json.dumps(doc, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def _write(doc, args) -> None:
@@ -194,6 +201,9 @@ def _cmd_verify(args) -> int:
 def _cmd_decompose(args) -> int:
     ctx = _from_input(QuadricGraph, args.n)
     vm = _load_vertex_map(ctx, args.infile)
+    largest = max((abs(x) for v in ctx.vertices for e in vm[v].support() for x in e), default=0)
+    if largest > MAX_EXPONENT:
+        raise UsageError(f"{args.infile}: exponent {largest} exceeds the supported maximum {MAX_EXPONENT}")
     try:
         result = decompose(ctx, vm)
     except NotAKClassError as exc:
@@ -315,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="decompose a K-class file over the canonical basis")
     p.add_argument("--n", type=int, required=True, help=n_help)
-    p.add_argument("--in", dest="infile", required=True)
+    in_help = f"a K-class JSON file, every |exponent| at most {MAX_EXPONENT}"
+    p.add_argument("--in", dest="infile", required=True, help=in_help)
     p.add_argument("--out")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_decompose)

@@ -5,7 +5,9 @@ Four families are checked (integer-exact, no tolerance anywhere):
 1. product vanishing: the product of supported classes over any family of
    index sets with empty intersection is the zero map.  Values multiply in
    the integral domain Z[y^±1], so this holds iff the factors' zero sets
-   cover every vertex, and that is what is checked (on vertex bitmasks);
+   cover every vertex, and that is what is checked, on vertex bitmasks (bit
+   v - 1 for vertex v): the AND of the member masks must be empty and the OR
+   of the zero masks full;
 2. complete-set split: for an admissible I of size n, the product of
    1 - (monomial class at i) over I equals the Thom class of the complement
    minus one spare pole, plus the monomial class at that pole times the Thom
@@ -20,15 +22,17 @@ plus the generator identity that recovers each ring variable y_i as
 the generator identities are identities of vertex maps.
 
 `verify_all` sweeps every instance of 2-4 and the generator identities, runs
-family 1 exhaustively up to a size bound and on seeded random families, and
-returns an accumulated report (checks never raise on a failed identity, only
-on malformed parameters).
+family 1 exhaustively up to a size bound (filtering candidate families by an
+AND of member masks) and on seeded random families, and returns an
+accumulated report of `CheckRecord` tuples (checks never raise on a failed
+identity, only on malformed parameters).
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .gkm import VertexMap
 from .laurent import monomial, one
@@ -45,21 +49,22 @@ class ClassProvider:
 
     Overrides exist for fault injection: tests replace, say, the monomial
     class at one vertex with a corrupted copy and watch the relation suite
-    name it in a failure.  The zero masks of the supported classes are read
-    from the generators here, so an override drops them.
+    name it in a failure.  Each index set's member and zero masks are cached
+    here too; the zero masks are read from the generators, so an override
+    drops the mask cache.
     """
 
     def __init__(self, ctx: QuadricGraph):
         self.ctx = ctx
         self._cache: dict[tuple, VertexMap] = {}
-        self._zero_masks: dict[frozenset[int], int] = {}
+        self._masks: dict[frozenset[int], tuple[int, int]] = {}
 
     def override(self, kind: str, key, vm: VertexMap) -> None:
         if kind not in ("M", "Minv", "Delta"):
             raise ValueError(f"unknown class kind {kind!r}")
         key = frozenset(key) if kind == "Delta" else int(key)
         self._cache[(kind, key)] = vm
-        self._zero_masks.clear()
+        self._masks.clear()
 
     def monomial(self, v: int) -> VertexMap:
         key = ("M", v)
@@ -94,42 +99,63 @@ class ClassProvider:
             f"{sorted(members)} is neither the complement of a single vertex nor admissible"
         )
 
-    def zero_mask(self, members) -> int:
-        """The vertices where the supported class of `members` is zero, as a
-        bitmask with bit v - 1 for vertex v, read from its values (not from
-        its expected support)."""
+    def masks(self, members) -> tuple[int, int]:
+        """(member mask, zero mask) of a valid index set, with bit v - 1 for
+        vertex v.  The zero mask holds the vertices where the supported class
+        is zero, read from its values (not from its expected support)."""
         members = frozenset(members)
-        mask = self._zero_masks.get(members)
-        if mask is None:
+        entry = self._masks.get(members)
+        if entry is None:
             vm = self.supported(members)
-            mask = sum(1 << (v - 1) for v in self.ctx.vertices if vm[v].is_zero())
-            self._zero_masks[members] = mask
-        return mask
+            zeros = (v for v in self.ctx.vertices if vm[v].is_zero())
+            entry = self._masks[members] = (_vertex_mask(members), _vertex_mask(zeros))
+        return entry
+
+
+def _vertex_mask(vertices) -> int:
+    """The vertices as a bitmask, bit v - 1 for vertex v."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << (v - 1)
+    return mask
 
 
 def _provider(ctx: QuadricGraph, provider: ClassProvider | None) -> ClassProvider:
     return provider if provider is not None else ClassProvider(ctx)
 
 
+def _nonempty_intersection(vertices) -> ValueError:
+    return ValueError(f"family intersection {sorted(vertices)} is nonempty")
+
+
 def check_product_vanishing(ctx, family, provider=None) -> bool:
     """True iff the product of the supported classes of `family` is the zero map.
 
     `family` must consist of valid index sets with empty overall intersection
-    (duplicates are allowed -- they only repeat factors).  Values multiply in
+    (duplicates are allowed -- they only repeat factors); a nonempty
+    intersection is reported before an invalid index set.  Values multiply in
     an integral domain, so the product is zero at a vertex iff some factor is
-    zero there: the answer is whether the factors' zero masks cover every
-    vertex.  No polynomial is multiplied.
+    zero there: the answer is whether the OR of the factors' zero masks covers
+    every vertex, once the AND of their member masks is empty.  No polynomial
+    is multiplied.
     """
     provider = _provider(ctx, provider)
-    family = [frozenset(j) for j in family]
+    family = tuple(family)
     if not family:
         raise ValueError("family must be nonempty")
-    intersection = frozenset.intersection(*family)
-    if intersection:
-        raise ValueError(f"family intersection {sorted(intersection)} is nonempty")
-    zeros = 0
-    for j in family:
-        zeros |= provider.zero_mask(j)
+    common, zeros = -1, 0
+    try:
+        for j in family:
+            member, zero = provider.masks(j)
+            common &= member
+            zeros |= zero
+    except ValueError:  # an invalid index set
+        intersection = frozenset.intersection(*map(frozenset, family))
+        if intersection:
+            raise _nonempty_intersection(intersection) from None
+        raise
+    if common:
+        raise _nonempty_intersection(v for v in ctx.vertices if common >> (v - 1) & 1)
     return zeros == (1 << ctx.vertex_count) - 1
 
 
@@ -220,8 +246,7 @@ def random_empty_intersection_family(ctx, rng: random.Random, universe=None) -> 
     return [frozenset(ctx.vertices) - {v}, frozenset({v})]
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     kind: str
     params: dict
     passed: bool
@@ -234,11 +259,11 @@ class RelationReport:
 
     @property
     def pass_count(self) -> int:
-        return sum(1 for r in self.records if r.passed)
+        return sum(passed for _, _, passed in self.records)
 
     @property
     def fail_count(self) -> int:
-        return sum(1 for r in self.records if not r.passed)
+        return len(self.records) - self.pass_count
 
     @property
     def ok(self) -> bool:
@@ -248,12 +273,14 @@ class RelationReport:
         return [r for r in self.records if not r.passed]
 
     def to_json_dict(self) -> dict:
+        passes = self.pass_count
         return {
             "n": self.n,
             "checks": [
-                {"kind": r.kind, "params": r.params, "pass": r.passed} for r in self.records
+                {"kind": kind, "params": params, "pass": passed}
+                for kind, params, passed in self.records
             ],
-            "summary": {"pass": self.pass_count, "fail": self.fail_count},
+            "summary": {"pass": passes, "fail": len(self.records) - passes},
         }
 
 
@@ -324,14 +351,21 @@ def verify_all(
     if "product_vanishing" in kinds:
         universe = support_index_sets(ctx)
         sorted_members = {j: sorted(j) for j in universe}  # shared by the records
+        member_mask = {j: _vertex_mask(j) for j in universe}
+        append = records.append
         for size in range(1, family_size_bound + 1):
             for family in combinations(universe, size):
-                if frozenset.intersection(*family):
+                common = -1
+                for j in family:
+                    common &= member_mask[j]
+                if common:
                     continue
-                record(
-                    "product_vanishing",
-                    {"family": sorted([sorted_members[j] for j in family])},
-                    check_product_vanishing(ctx, family, provider),
+                append(
+                    CheckRecord(
+                        "product_vanishing",
+                        {"family": sorted([sorted_members[j] for j in family])},
+                        check_product_vanishing(ctx, family, provider),
+                    )
                 )
         rng = random.Random(seed)
         for _ in range(random_family_count):

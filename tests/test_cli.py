@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import kquadric.cli as cli_module
-from kquadric.cli import MAX_FAMILY_BOUND, MAX_N, MAX_TRIALS, main
+from kquadric.cli import MAX_EXPONENT, MAX_FAMILY_BOUND, MAX_N, MAX_TRIALS, main
 from kquadric.gkm import VertexMap
 from kquadric.laurent import one, zero
 from kquadric.quadric import (
@@ -368,3 +368,33 @@ def test_roundtrip_through_cli_files(tmp_path, capsys):
 
     d = Decomposition.from_json_dict(ctx, doc)
     assert recompose(ctx, d) == monomial_class(ctx, 2)
+
+
+def m1_power_file(tmp_path, power):
+    """The n = 1 class M_1^power: its largest |exponent| is `power`."""
+    ctx = QuadricGraph(1)
+    m1 = monomial_class(ctx, 1)
+    path = tmp_path / f"m1_{power}.json"
+    values = VertexMap({v: m1[v] ** power for v in ctx.vertices})
+    path.write_text(json.dumps(vertex_map_to_json_dict(ctx, values)))
+    return path
+
+
+def test_decompose_at_the_exponent_bound_is_accepted(tmp_path, capsys):
+    path = m1_power_file(tmp_path, MAX_EXPONENT)
+    code, out, err = run(capsys, "decompose", "--n", "1", "--in", str(path))
+    assert code == 0 and err == ""
+    largest = max(len(c["terms"]) for c in json.loads(out)["coeffs"])
+    assert largest == MAX_EXPONENT * (MAX_EXPONENT - 1)
+
+
+def test_decompose_past_the_exponent_bound_is_refused(tmp_path, capsys, monkeypatch):
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("a refused input was decomposed")
+
+    monkeypatch.setattr(cli_module, "decompose", no_decompose)
+    path = m1_power_file(tmp_path, MAX_EXPONENT + 1)
+    code, out, err = run(capsys, "decompose", "--n", "1", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: exponent {MAX_EXPONENT + 1} exceeds the supported maximum {MAX_EXPONENT}\n"

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
 
@@ -155,6 +156,74 @@ def test_verify_all_decides_every_family_through_check_product_vanishing(monkeyp
     report = verify_all(QuadricGraph(2), seed=3)
     families = [r for r in report.records if r.kind == "product_vanishing"]
     assert families and len(calls) == len(families)
+
+
+def oracle_product_vanishing_records(ctx, bound, random_count, seed, provider):
+    """The sweep as it was first written: frozenset intersections as the
+    filter, expanded products as the decision.  Returns (size, record) pairs."""
+    universe = support_index_sets(ctx)
+    factors = SimpleNamespace(supported={j: provider.supported(j) for j in universe}.__getitem__)
+    families = [
+        (family, {})
+        for size in range(1, bound + 1)
+        for family in combinations(universe, size)
+        if not frozenset.intersection(*family)
+    ]
+    rng = random.Random(seed)
+    families += [
+        (random_empty_intersection_family(ctx, rng, universe), {"random": True})
+        for _ in range(random_count)
+    ]
+    return [
+        (len(family), ("product_vanishing", {"family": sorted(sorted(j) for j in family), **extra},
+                       expanded_product_vanishes(ctx, family, factors)))
+        for family, extra in families
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("corruption", ["none", "missing_vertex", "off_support"])
+def test_product_vanishing_sweep_matches_the_oracle(n, corruption):
+    ctx = QuadricGraph(n)
+    oracle = oracle_product_vanishing_records(ctx, 4, 0, 0, corrupted_provider(ctx, corruption))
+    random_records = [r for _, r in oracle_product_vanishing_records(ctx, 0, 10, 6, corrupted_provider(ctx, corruption))]
+    assert all(passed for _, (_, _, passed) in oracle) == (corruption == "none")
+    for bound in range(5):
+        report = verify_all(
+            ctx,
+            family_size_bound=bound,
+            random_family_count=10,
+            seed=6,
+            kinds=("product_vanishing",),
+            provider=corrupted_provider(ctx, corruption),
+        )
+        expected = [record for size, record in oracle if size <= bound] + random_records
+        assert [tuple(r) for r in report.records] == expected, bound
+
+
+def test_members_given_as_sets_and_lists(q1):
+    provider = ClassProvider(q1)
+    assert check_product_vanishing(q1, [{1, 2}, [3, 4]], provider)
+    assert check_product_vanishing(q1, [frozenset({1, 2}), {3, 4}], provider)  # now cached
+    assert check_product_vanishing(q1, ([2, 3, 4], {1}), provider)
+    assert not check_product_vanishing(q1, [[1], [2, 3, 4], {1}], corrupted_provider(q1, "missing_vertex"))
+    with pytest.raises(ValueError, match="intersection"):
+        check_product_vanishing(q1, [[1, 2], {2, 3, 4}], provider)
+
+
+def test_repeated_member_only_repeats_a_factor(q1):
+    everything_but_1 = complement(q1, 1)
+    assert check_product_vanishing(q1, [everything_but_1, {1}, everything_but_1])
+    with pytest.raises(ValueError, match=r"intersection \[2, 3, 4\] is nonempty"):
+        check_product_vanishing(q1, [everything_but_1, everything_but_1])
+
+
+def test_intersection_is_reported_before_an_invalid_index_set(q1):
+    for family in ([{2, 3}, {1, 2}], [[2, 3], [1, 2]], [{1, 2}, {2, 3}, {2}]):
+        with pytest.raises(ValueError, match=r"intersection \[2\] is nonempty"):
+            check_product_vanishing(q1, family)
+    with pytest.raises(ValueError, match="neither the complement"):
+        check_product_vanishing(q1, [{2, 3}, {1}])  # invalid, empty intersection
 
 
 # -- spare pole pair -------------------------------------------------------------
