@@ -159,8 +159,9 @@ def test_verify_all_decides_every_family_through_check_product_vanishing(monkeyp
 
 
 def oracle_product_vanishing_records(ctx, bound, random_count, seed, provider):
-    """The sweep as it was first written: frozenset intersections as the
-    filter, expanded products as the decision.  Returns (size, record) pairs."""
+    """The product-vanishing records of `verify_all`, with frozenset
+    intersections as the filter and expanded products as the decision.
+    Returns (family size, record) pairs."""
     universe = support_index_sets(ctx)
     factors = SimpleNamespace(supported={j: provider.supported(j) for j in universe}.__getitem__)
     families = [
@@ -186,7 +187,7 @@ def oracle_product_vanishing_records(ctx, bound, random_count, seed, provider):
 def test_product_vanishing_sweep_matches_the_oracle(n, corruption):
     ctx = QuadricGraph(n)
     oracle = oracle_product_vanishing_records(ctx, 4, 0, 0, corrupted_provider(ctx, corruption))
-    random_records = [r for _, r in oracle_product_vanishing_records(ctx, 0, 10, 6, corrupted_provider(ctx, corruption))]
+    randoms = oracle_product_vanishing_records(ctx, 0, 10, 6, corrupted_provider(ctx, corruption))
     assert all(passed for _, (_, _, passed) in oracle) == (corruption == "none")
     for bound in range(5):
         report = verify_all(
@@ -197,14 +198,14 @@ def test_product_vanishing_sweep_matches_the_oracle(n, corruption):
             kinds=("product_vanishing",),
             provider=corrupted_provider(ctx, corruption),
         )
-        expected = [record for size, record in oracle if size <= bound] + random_records
+        expected = [record for size, record in oracle if size <= bound] + [r for _, r in randoms]
         assert [tuple(r) for r in report.records] == expected, bound
 
 
 def test_members_given_as_sets_and_lists(q1):
     provider = ClassProvider(q1)
     assert check_product_vanishing(q1, [{1, 2}, [3, 4]], provider)
-    assert check_product_vanishing(q1, [frozenset({1, 2}), {3, 4}], provider)  # now cached
+    assert check_product_vanishing(q1, [frozenset({1, 2}), {3, 4}], provider)  # both cached by now
     assert check_product_vanishing(q1, ([2, 3, 4], {1}), provider)
     assert not check_product_vanishing(q1, [[1], [2, 3, 4], {1}], corrupted_provider(q1, "missing_vertex"))
     with pytest.raises(ValueError, match="intersection"):
