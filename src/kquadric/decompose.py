@@ -13,25 +13,36 @@ with coefficients h_k in the Laurent ring, over the canonical basis
 The basis is lower triangular for the vertex order (B_k vanishes at vertices
 below k) with nonzero diagonal values B_k(k), each the product of binomials
 1 - y^alpha over the weights alpha of the edges from k down to its lower
-neighbours (the flow-up condition).  `decompose` peels the
-coefficients off vertex by vertex: h_k is the exact quotient of the running
-residual at vertex k by those diagonal binomials, and subtracting h_k * B_k
-zeroes the vertex.  Division failure at stage k certifies that the input was
-not a K-class; conversely every K-class decomposes and recomposes exactly.
+neighbours (the flow-up condition).  `decompose` peels the coefficients off
+vertex by vertex: h_k is the exact quotient of the running residual at vertex
+k by those diagonal binomials, and subtracting h_k * B_k zeroes the vertex.
+Division failure at stage k certifies that the input was not a K-class;
+conversely every K-class decomposes and recomposes exactly.
 
-The residual is one in-place accumulator per vertex (`laurent._Accumulator`),
-so a stage costs the products h_k * B_k(v) at the vertices where B_k(v) is
-nonzero and nothing else: no vertex value is copied.  The diagonal product
-B_k(k) * h_k is the one built with `*` and subtracted; it is what makes the
-next stage's triangular check meaningful, since vertex k is zero afterwards
-only if B_k(k) really is the product of its diagonal factors.  `recompose`
-sums h_k * B_k(v) into one accumulator per vertex the same way.
+Division frames.  Write D_j(v) for the product of the binomials of v's lower
+neighbours i <= j, so that D_{v-1}(v) = B_v(v).  `decompose` keeps the
+residual at v divided by D_j(v) for some j, the *frame* of v, in one
+in-place accumulator (`laurent._Accumulator`).  After the stages below k the
+residual is a K-class that vanishes at 1..k-1, so it is divisible by
+D_{k-1}(v), and so is every B_i(v) with i >= k.  Each stage therefore
+subtracts h_k times the cofactor B_k(v) / D_j(v) at the frame v holds, or
+first moves v to frame k-1 when the product would have more term pairs than
+the residual has terms.  At frame k-1 every cofactor of the canonical basis
+is 1 or one binomial (a test checks this for n = 1..5), and at v = k it is 1:
+dividing vertex k up to frame k-1 gives h_k itself, and no diagonal product
+is built.  The cofactors are tabulated once per basis object.  A division
+that fails before a vertex's stage is reported at that stage, with the same
+message: the residual keeps its class modulo D_j(v) through every later
+stage, and D_j(v) divides D_{v-1}(v).  `recompose` sums h_k * B_k(v) into one
+accumulator per vertex.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .gkm import VertexMap, is_k_class
 from .laurent import (
@@ -61,14 +72,64 @@ class NotAKClassError(ValueError):
         self.failing_edges = tuple(failing_edges)
 
 
+class _Stage(NamedTuple):
+    """What stage k of `decompose` needs from the basis.
+
+    `valid` says that B_k vanishes below k, that its cofactor at k is 1 and
+    that B_k(v) is divisible by D_{k-1}(v) at every v > k; `updates` holds,
+    for every v > k with B_k(v) != 0, the frame k-1 of v (as a count of v's
+    diagonal factors) and the cofactors B_k(v) / D for the first 0..frame of
+    those factors.
+    """
+
+    valid: bool
+    updates: tuple[tuple[int, int, tuple[LaurentPolynomial, ...]], ...]
+
+
 @dataclass(frozen=True)
 class CanonicalBasis:
     """The 2n+2 basis classes plus the symbolic binomial factorization of each
-    diagonal value B_k(k) (used by `decompose`; never re-factored from the
-    expanded polynomial)."""
+    diagonal value B_k(k) (never re-factored from the expanded polynomial).
+
+    `diagonal_factors[k-1]` lists the weights of the edges from k down to
+    `lower_neighbours[k-1]`, in the same order; together they give `decompose`
+    its division schedule (see "Division frames" above)."""
 
     classes: tuple[VertexMap, ...]
     diagonal_factors: tuple[tuple[tuple[int, ...], ...], ...]
+    lower_neighbours: tuple[tuple[int, ...], ...]
+
+    def _cofactors(self, value: LaurentPolynomial, v: int, frame: int) -> tuple[LaurentPolynomial, ...]:
+        """value divided by the first 0, 1, ..., frame diagonal factors of v."""
+        chain = [value]
+        for alpha in self.diagonal_factors[v - 1][:frame]:
+            chain.append(div_exact_product(chain[-1], (alpha,)))
+        return tuple(chain)
+
+    @cached_property
+    def _stages(self) -> tuple[_Stage, ...]:
+        """One `_Stage` per basis class, built on first use.  The cache lives
+        on this object, so `dataclasses.replace` starts a new one."""
+        count = len(self.classes)
+
+        def frame(v: int, k: int) -> int:  # v's factors from lower neighbours below k
+            return min(bisect_left(self.lower_neighbours[v - 1], k), len(self.diagonal_factors[v - 1]))
+
+        stages = []
+        for k, b in enumerate(self.classes, start=1):
+            try:
+                at_k = self._cofactors(b[k], k, len(self.diagonal_factors[k - 1]))[-1]
+                updates = tuple(
+                    (v, frame(v, k), self._cofactors(b[v], v, frame(v, k)))
+                    for v in range(k + 1, count + 1)
+                    if not b[v].is_zero()
+                )
+            except NonDivisibleError:
+                stages.append(_Stage(False, ()))
+                continue
+            valid = at_k.is_one() and all(b[l].is_zero() for l in range(1, k))
+            stages.append(_Stage(valid, updates))
+        return tuple(stages)
 
 
 def canonical_basis(ctx: QuadricGraph) -> CanonicalBasis:
@@ -86,11 +147,9 @@ def canonical_basis(ctx: QuadricGraph) -> CanonicalBasis:
         classes.append(thom_class(ctx, members))
 
     graph = ctx.graph
-    factors = [
-        tuple(graph.axial(k, j) for j in range(1, k) if graph.has_edge(k, j))
-        for k in ctx.vertices
-    ]
-    return CanonicalBasis(tuple(classes), tuple(factors))
+    lower = [tuple(j for j in range(1, k) if graph.has_edge(k, j)) for k in ctx.vertices]
+    factors = [tuple(graph.axial(k, j) for j in below) for k, below in zip(ctx.vertices, lower)]
+    return CanonicalBasis(tuple(classes), tuple(factors), tuple(lower))
 
 
 @lru_cache(maxsize=None)
@@ -131,14 +190,15 @@ class Decomposition:
 def decompose(ctx: QuadricGraph, f: VertexMap, basis: CanonicalBasis | None = None) -> Decomposition:
     """The unique coefficients of a K-class over the canonical basis.
 
-    Processes vertices 1, 2, ..., 2n+2 in order; at stage k the residual is
-    zero below vertex k, its value at k is divided exactly by the binomial
-    factors of B_k(k), and h_k * B_k is subtracted.  Raises NotAKClassError
-    (naming the stage and the failing edges) when a division fails; that
-    happens precisely for non-K-classes.  Raises RuntimeError, naming the
-    stage, if the basis breaks the triangular invariant (possible only for a
-    caller-supplied basis that is not the canonical one).  Without `basis`,
-    the canonical basis of `ctx.n` is built once and reused.
+    Processes vertices 1, 2, ..., 2n+2 in order; at stage k the residual at k
+    is divided exactly up to frame k-1, which gives h_k, and h_k times the
+    cofactor at the frame of each v > k is subtracted there (see "Division
+    frames" above).  Raises NotAKClassError (naming the stage and the failing
+    edges) when a division fails; that happens precisely for non-K-classes.
+    Raises RuntimeError, naming the next stage, if a stage with h_k != 0
+    would break the triangular invariant (possible only for a caller-supplied
+    basis that is not the canonical one).  Without `basis`, the canonical
+    basis of `ctx.n` is built once and reused.
     """
     if f.vertices() != tuple(ctx.vertices):
         raise ValueError("vertex map does not cover exactly the graph's vertices")
@@ -146,13 +206,16 @@ def decompose(ctx: QuadricGraph, f: VertexMap, basis: CanonicalBasis | None = No
         raise ValueError(f"vertex map has {f.m} variables, expected {ctx.m}")
     if basis is None:
         basis = _shared_basis(ctx.n)
+    factors = basis.diagonal_factors
     residual = {v: _Accumulator(f[v]) for v in ctx.vertices}
+    frame = dict.fromkeys(ctx.vertices, 0)
+    failed: dict[int, NonDivisibleError] = {}  # vertex -> its early failed division
     coefficients = []
-    for k in ctx.vertices:
-        if not all(residual[l].is_zero() for l in range(1, k)):
-            raise RuntimeError(f"residual not triangular at stage {k}")
+    for k, stage in enumerate(basis._stages, start=1):
         try:
-            h_k = div_exact_product(residual[k].value(), basis.diagonal_factors[k - 1])
+            if k in failed:
+                raise failed[k]
+            h_k = div_exact_product(residual.pop(k).value(), factors[k - 1][frame[k]:])
         except NonDivisibleError as exc:
             report = is_k_class(ctx.graph, f)
             raise NotAKClassError(
@@ -162,14 +225,26 @@ def decompose(ctx: QuadricGraph, f: VertexMap, basis: CanonicalBasis | None = No
                 failing_edges=report.failing_edges,
             ) from exc
         coefficients.append(h_k)
-        if not h_k.is_zero():
-            b_k = basis.classes[k - 1]
-            residual[k].subtract(b_k[k] * h_k)
-            for v, acc in residual.items():
-                if v != k and not b_k[v].is_zero():
-                    acc.add_product(h_k, b_k[v], -1)
-    if not all(acc.is_zero() for acc in residual.values()):
-        raise RuntimeError(f"nonzero terminal remainder after stage {ctx.vertex_count}")
+        if h_k.is_zero():
+            continue
+        if not stage.valid:
+            if k < ctx.vertex_count:
+                raise RuntimeError(f"residual not triangular at stage {k + 1}")
+            raise RuntimeError(f"nonzero terminal remainder after stage {k}")
+        size = h_k.term_count()
+        for v, target, cofactors in stage.updates:
+            if v in failed:
+                continue
+            acc, j = residual[v], frame[v]
+            if j < target and size * cofactors[j].term_count() > acc.term_count():
+                try:
+                    acc = _Accumulator(div_exact_product(acc.value(), factors[v - 1][j:target]))
+                except NonDivisibleError as exc:
+                    failed[v] = exc
+                    continue
+                residual[v], frame[v], j = acc, target, target
+            cofactor = cofactors[j]
+            acc.subtract(h_k if cofactor.is_one() else h_k * cofactor)
     return Decomposition(tuple(coefficients))
 
 

@@ -26,13 +26,14 @@ from these tracked bounds only, never by re-measuring an operand.  Widths run
 operand, and `==` compares across widths.
 
 In-place sums.  The private `_Accumulator` is a mutable running sum for the
-package's own loops (`decompose`, `recompose`).  Its one fused operation,
-acc += sign·h·b, walks the term pairs of h and b and writes straight into the
-accumulator's dict, so neither the product nor a copy of the sum is built;
-`__mul__` runs the same pair loop into an empty dict.  It widens by the same
-tracked-bound rule: the bound becomes max(acc, h + b), and the terms are
-repacked only when that reaches the bias.  `value()` returns a polynomial
-over a copy of the terms, so no polynomial ever aliases an accumulator.
+package's own loops (`decompose` subtracts from it, `recompose` adds
+products to it).  Its fused operation, acc += sign·h·b, walks the term pairs
+of h and b and writes straight into the accumulator's dict, so neither the
+product nor a copy of the sum is built; `__mul__` runs the same pair loop
+into an empty dict.  It widens by the same tracked-bound rule: the bound
+becomes max(acc, h + b), and the terms are repacked only when that reaches
+the bias.  `value()` returns a polynomial over a copy of the terms, so no
+polynomial ever aliases an accumulator.
 
 Besides the ring operations the module provides the two division primitives
 everything downstream is built on:
@@ -387,15 +388,13 @@ class _Accumulator:
         self._bound = bound
         return layout
 
+    def term_count(self) -> int:
+        return len(self._terms)
+
     def subtract(self, p: LaurentPolynomial) -> None:
-        """self -= p.  When p equals the running sum, as the diagonal product
-        does at every stage of `decompose`, one dict comparison empties it."""
+        """self -= p, merged into the running sum's dict."""
         layout = self._fit(_wider(self._layout, p._layout), max(self._bound, p._bound))
-        terms = _keyed(p, layout)
-        if terms == self._terms:
-            self._terms.clear()
-        else:
-            _merge_into(self._terms, terms, -1)
+        _merge_into(self._terms, _keyed(p, layout), -1)
 
     def add_product(self, h: LaurentPolynomial, b: LaurentPolynomial, sign: int = 1) -> None:
         """self += sign * h * b, without building the product."""

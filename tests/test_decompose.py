@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from kquadric.gkm import VertexMap, is_k_class
 from kquadric.laurent import (
     LaurentPolynomial,
     ParseError,
+    div_exact_product,
     monomial,
     one,
     one_minus_monomial,
@@ -73,6 +75,41 @@ def test_diagonal_factors_multiply_to_diagonal_values(n):
         for alpha in factors:
             product = product * one_minus_monomial(alpha)
         assert product == b[k]
+
+
+def frame_divisor(ctx, v, k):
+    """The alphas of D_{k-1}(v): the edges from v down to neighbours below k."""
+    return [ctx.graph.axial(v, i) for i in range(1, k) if ctx.graph.has_edge(v, i)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cofactors_at_frame_k_minus_1_are_one_or_one_binomial(n):
+    # The fact `decompose` rests on: B_k(v) / D_{k-1}(v) for v >= k is 1 or
+    # 1 - y^beta, and 1 at v = k.  The tabulated cofactors must agree.
+    ctx = QuadricGraph(n)
+    basis = canonical_basis(ctx)
+    updates = {k: {v: cofactors[-1] for v, _, cofactors in stage.updates}
+               for k, stage in enumerate(basis._stages, start=1)}
+    for k, b in enumerate(basis.classes, start=1):
+        for v in range(k, ctx.vertex_count + 1):
+            q = div_exact_product(b[v], frame_divisor(ctx, v, k))
+            if v == k:
+                assert q.is_one()
+            elif q.is_zero():
+                assert v not in updates[k]
+            else:
+                beta = [e for e in q.support() if any(e)]
+                assert q.is_one() or (len(beta) == 1 and q == one_minus_monomial(beta[0]))
+                assert updates[k][v] == q
+    assert all(stage.valid for stage in basis._stages)
+
+
+def test_replace_builds_a_new_cofactor_table(q2):
+    basis = canonical_basis(q2)
+    assert all(stage.valid for stage in basis._stages)
+    broken = replace(basis, diagonal_factors=((),) * q2.vertex_count)
+    assert [stage.valid for stage in broken._stages] == [True] + [False] * (q2.vertex_count - 1)
+    assert all(stage.valid for stage in basis._stages)
 
 
 def test_basis_classes_are_k_classes(q2):

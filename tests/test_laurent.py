@@ -297,6 +297,70 @@ def test_divide_product_failure_names_factor():
     assert err.value.factor_index == 1
 
 
+# -- sympy as an independent oracle for div_exact_product ---------------------------
+
+
+def sympy_expr(sympy, ys, p):
+    return sympy.Add(*[c * sympy.Mul(*[y**x for y, x in zip(ys, e)]) for e, c in p.items()])
+
+
+def sympy_division(sympy, ys, g, alphas):
+    """(sympy's quotient, None) when g / prod(1 - y^alpha) is a Laurent
+    polynomial, else (None, the first factor index where it stops being one)."""
+    expr = sympy_expr(sympy, ys, g)
+    for index, alpha in enumerate(alphas):
+        expr = sympy.cancel(expr / (1 - sympy_expr(sympy, ys, monomial(alpha))))
+        if len(sympy.Poly(sympy.fraction(expr)[1], *ys).terms()) != 1:
+            return None, index
+    return expr, None
+
+
+def random_alphas(rng, m, count):
+    alphas = []
+    while len(alphas) < count:
+        alpha = tuple(rng.randint(-2, 2) for _ in range(m))
+        if any(alpha):
+            alphas.append(alpha)
+    return alphas
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_divisible_products_give_sympys_quotient(m):
+    sympy = pytest.importorskip("sympy")
+    ys = sympy.symbols(f"y1:{m + 1}")
+    rng = random.Random(m)
+    for _ in range(15):
+        alphas = random_alphas(rng, m, rng.randint(1, 3))
+        g = rand_poly(rng, m)
+        for alpha in alphas:
+            g = g * one_minus_monomial(alpha)
+        expected, failed_at = sympy_division(sympy, ys, g, alphas)
+        assert failed_at is None
+        q = div_exact_product(g, alphas)
+        assert sympy.expand(expected - sympy_expr(sympy, ys, q)) == 0
+
+
+def test_non_divisible_products_name_sympys_factor_index():
+    sympy = pytest.importorskip("sympy")
+    ys = sympy.symbols("y1:3")
+    rng = random.Random(5)
+    indices = []
+    for _ in range(25):
+        alphas = random_alphas(rng, 2, 3)
+        g = rand_poly(rng, 2) + monomial((0, 0))
+        for alpha in alphas[: rng.randint(0, 2)]:
+            g = g * one_minus_monomial(alpha)
+        expected, failed_at = sympy_division(sympy, ys, g, alphas)
+        if failed_at is None:
+            assert sympy.expand(expected - sympy_expr(sympy, ys, div_exact_product(g, alphas))) == 0
+            continue
+        with pytest.raises(NonDivisibleError) as err:
+            div_exact_product(g, alphas)
+        assert err.value.factor_index == failed_at
+        indices.append(failed_at)
+    assert {1, 2} <= set(indices)
+
+
 def test_division_success_iff_divisible():
     # The coset test and the elimination algorithm must agree on every input:
     # division succeeds exactly when divisibility holds, and then multiplies back.
