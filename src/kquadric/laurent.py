@@ -450,11 +450,17 @@ def one_minus_monomial(alpha: Iterable[int]) -> LaurentPolynomial:
 # -- divisibility and exact division ------------------------------------------
 
 
-def _checked_alpha(alpha, m: int) -> Exponent:
+class _Divisor(tuple):
+    """An alpha that `_checked_alpha` accepted: m ints, not all zero."""
+
+    __slots__ = ()
+
+
+def _checked_alpha(alpha, m: int) -> _Divisor:
     alpha = _check_exponent(alpha, m)
     if not any(alpha):
         raise ValueError("invalid divisor: alpha must be a nonzero vector")
-    return alpha
+    return _Divisor(alpha)
 
 
 def _line_sums(g: LaurentPolynomial, alpha: Exponent):
@@ -505,7 +511,8 @@ def div_exact_binomial(g: LaurentPolynomial, alpha: Iterable[int]) -> LaurentPol
     to zero, before any quotient term is built: the fill relies on every line
     ending at zero, and a failing line can span far more terms than g has.
     """
-    alpha = _checked_alpha(alpha, g.m)
+    if type(alpha) is not _Divisor:  # div_exact_product passes alphas checked against g.m
+        alpha = _checked_alpha(alpha, g.m)
     terms, layout, step, divisible = _line_sums(g, alpha)
     if not divisible:
         raise NonDivisibleError(

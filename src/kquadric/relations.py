@@ -21,18 +21,22 @@ plus the generator identity that recovers each ring variable y_i as
 (monomial class at i+1) * (inverse monomial class at 1).  Families 2-4 and
 the generator identities are identities of vertex maps.
 
-`verify_all` sweeps every instance of 2-4 and the generator identities, runs
+`iter_checks` sweeps every instance of 2-4 and the generator identities, runs
 family 1 exhaustively up to a size bound (filtering candidate families by an
-AND of member masks) and on seeded random families, and returns an
-accumulated report of `CheckRecord` tuples (checks never raise on a failed
-identity, only on malformed parameters).
+AND of member masks) and on seeded random families, and yields one
+`CheckRecord` per instance (checks never raise on a failed identity, only on
+malformed parameters).  `verify_all` keeps them in a `RelationReport`;
+`RelationStream.render` turns them into the report's JSON text as they come
+and keeps only the counts.
 """
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .gkm import VertexMap
 from .laurent import monomial, one
@@ -272,17 +276,6 @@ class RelationReport:
     def failures(self) -> list[CheckRecord]:
         return [r for r in self.records if not r.passed]
 
-    def to_json_dict(self) -> dict:
-        passes = self.pass_count
-        return {
-            "n": self.n,
-            "checks": [
-                {"kind": kind, "params": params, "pass": passed}
-                for kind, params, passed in self.records
-            ],
-            "summary": {"pass": passes, "fail": len(self.records) - passes},
-        }
-
 
 ALL_KINDS = (
     "generator_identity",
@@ -293,35 +286,32 @@ ALL_KINDS = (
 )
 
 
-def verify_all(
+def iter_checks(
     ctx,
     family_size_bound: int = 3,
     random_family_count: int = 100,
     seed: int = 0,
     kinds=ALL_KINDS,
     provider: ClassProvider | None = None,
-) -> RelationReport:
-    """Run every relation instance and accumulate a report.
+) -> Iterator[CheckRecord]:
+    """Yield a record for every relation instance, in report order.
 
     Exhaustive over: all generator identities, all distinct vertex pairs, all
     (admissible P, i in P) with |P| > 1, all admissible I of size n, and all
     distinct empty-intersection families of at most `family_size_bound` index
     sets; plus `random_family_count` seeded random families (any size,
-    duplicates allowed).
+    duplicates allowed).  Each family is decided by one call of
+    `check_product_vanishing`.
     """
     provider = _provider(ctx, provider)
-    records: list[CheckRecord] = []
-
-    def record(kind: str, params: dict, passed: bool) -> None:
-        records.append(CheckRecord(kind, params, passed))
 
     if "generator_identity" in kinds:
         for i in range(1, ctx.n + 2):
-            record("generator_identity", {"i": i}, check_generator_identity(ctx, i, provider))
+            yield CheckRecord("generator_identity", {"i": i}, check_generator_identity(ctx, i, provider))
 
     if "antipodal_product" in kinds:
         for v, w in combinations(ctx.vertices, 2):
-            record(
+            yield CheckRecord(
                 "antipodal_product",
                 {"v": v, "w": w},
                 check_antipodal_product(ctx, v, w, provider),
@@ -332,7 +322,7 @@ def verify_all(
             if len(members) < 2:
                 continue
             for i in sorted(members):
-                record(
+                yield CheckRecord(
                     "peeling",
                     {"members": sorted(members), "i": i},
                     check_peeling(ctx, members, i, provider),
@@ -342,7 +332,7 @@ def verify_all(
         for members in ctx.admissible_subsets():
             if len(members) != ctx.n:
                 continue
-            record(
+            yield CheckRecord(
                 "complete_set_split",
                 {"members": sorted(members)},
                 check_complete_set_split(ctx, members, provider),
@@ -352,7 +342,6 @@ def verify_all(
         universe = support_index_sets(ctx)
         sorted_members = {j: sorted(j) for j in universe}  # shared by the records
         member_mask = {j: _vertex_mask(j) for j in universe}
-        append = records.append
         for size in range(1, family_size_bound + 1):
             for family in combinations(universe, size):
                 common = -1
@@ -360,20 +349,107 @@ def verify_all(
                     common &= member_mask[j]
                 if common:
                     continue
-                append(
-                    CheckRecord(
-                        "product_vanishing",
-                        {"family": sorted([sorted_members[j] for j in family])},
-                        check_product_vanishing(ctx, family, provider),
-                    )
+                yield CheckRecord(
+                    "product_vanishing",
+                    {"family": sorted([sorted_members[j] for j in family])},
+                    check_product_vanishing(ctx, family, provider),
                 )
         rng = random.Random(seed)
         for _ in range(random_family_count):
             family = random_empty_intersection_family(ctx, rng, universe)
-            record(
+            yield CheckRecord(
                 "product_vanishing",
                 {"family": sorted([sorted_members[j] for j in family]), "random": True},
                 check_product_vanishing(ctx, family, provider),
             )
 
+
+def verify_all(
+    ctx,
+    family_size_bound: int = 3,
+    random_family_count: int = 100,
+    seed: int = 0,
+    kinds=ALL_KINDS,
+    provider: ClassProvider | None = None,
+) -> RelationReport:
+    """Run every relation instance of `iter_checks` and keep the records in a report."""
+    records = iter_checks(ctx, family_size_bound, random_family_count, seed, kinds, provider)
     return RelationReport(ctx.n, tuple(records))
+
+
+class RelationStream:
+    """The records of one sweep, consumed once by `render`.
+
+    Only the counts outlive the rendering: `pass_count` and `fail_count` are
+    set when `render` returns.
+    """
+
+    def __init__(self, n: int, records: Iterable[CheckRecord]):
+        self.n = n
+        self.records = records
+        self.pass_count = self.fail_count = 0
+
+    def render(self, pretty: bool = False) -> str:
+        """The report's JSON text and a newline.
+
+        The text is exactly what ``json.dumps`` gives (compact separators, or
+        ``indent=2`` when `pretty`) for the document
+        ``{"n", "checks": [{"kind", "params", "pass"}, ...], "summary":
+        {"pass", "fail"}}``, but no record or dict is kept: each record
+        becomes one string.  Params of the form ``{"family": [...]}`` or
+        ``{"family": [...], "random": true}`` are assembled from templates
+        and from each index set's member list, encoded once per call; any
+        other params go through the JSON encoder.
+        """
+        if pretty:
+            nl = ["\n" + "  " * depth for depth in range(7)]  # newline and indent per depth
+            colon = ": "
+        else:
+            nl = [""] * 7
+            colon = ":"
+
+        def encode(value, depth: int) -> str:
+            """`value` as JSON, its inner lines indented from `depth`."""
+            if pretty:
+                return json.dumps(value, indent=2).replace("\n", nl[depth])
+            return json.dumps(value, separators=(",", ":"))
+
+        def key(name: str, depth: int) -> str:
+            return f'{nl[depth]}"{name}"{colon}'
+
+        members = cache(lambda j: encode(j, 5))  # keyed by content: records reuse the lists
+        member_sep = "," + nl[5]
+        heads: dict[str, tuple[str, str]] = {}  # kind -> (up to the params, up to the first member)
+        pass_tail = {b: f",{key('pass', 3)}{encode(b, 0)}{nl[2]}}}" for b in (False, True)}
+        family_tail = {
+            (random_flag, b): nl[4] + "]" + (f",{key('random', 4)}true" if random_flag else "")
+            + nl[3] + "}" + pass_tail[b]
+            for random_flag in (False, True)
+            for b in (False, True)
+        }
+
+        checks = []
+        passes = 0
+        for kind, params, passed in self.records:
+            passes += passed
+            head = heads.get(kind)
+            if head is None:
+                plain = "{" + key("kind", 3) + encode(kind, 0) + "," + key("params", 3)
+                head = heads[kind] = (plain, plain + "{" + key("family", 4) + "[" + nl[5])
+            shape = tuple(params)
+            family = params.get("family")
+            if family and (shape == ("family",) or (shape == ("family", "random") and params["random"] is True)):
+                text = member_sep.join(map(members, map(tuple, family)))
+                checks.append(head[1] + text + family_tail[len(shape) == 2, passed])
+            else:
+                checks.append(head[0] + encode(params, 3) + pass_tail[passed])
+
+        self.pass_count, self.fail_count = passes, len(checks) - passes
+        opening = "{" + key("n", 1) + encode(self.n, 1) + "," + key("checks", 1)
+        closing = "," + key("summary", 1) + encode({"pass": passes, "fail": self.fail_count}, 1) + nl[0] + "}\n"
+        if not checks:
+            return opening + "[]" + closing
+        # One join builds the text: a large report is not copied again.
+        checks[0] = opening + "[" + nl[2] + checks[0]
+        checks[-1] += nl[1] + "]" + closing
+        return ("," + nl[2]).join(checks)

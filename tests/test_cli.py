@@ -345,10 +345,43 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(cli_module, "verify_all", broken)
+    monkeypatch.setattr(cli_module, "iter_checks", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["verify", "--n", "1"])
     assert capsys.readouterr().err == ""
+
+
+def test_fault_partway_through_the_sweep_writes_nothing(capsys, monkeypatch):
+    original = cli_module.iter_checks
+    yielded = []
+
+    def broken(*args, **kwargs):
+        for record in original(*args, **kwargs):
+            if len(yielded) == 10:
+                raise ValueError("internal fault")
+            yielded.append(record)
+            yield record
+
+    monkeypatch.setattr(cli_module, "iter_checks", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["verify", "--n", "1"])
+    assert len(yielded) == 10
+    assert capsys.readouterr() == ("", "")
+
+
+def test_verify_exit_status_comes_from_the_streamed_records(capsys, monkeypatch):
+    original = cli_module.iter_checks
+
+    def one_failure(*args, **kwargs):
+        for index, record in enumerate(original(*args, **kwargs)):
+            yield record._replace(passed=False) if index == 3 else record
+
+    monkeypatch.setattr(cli_module, "iter_checks", one_failure)
+    code, out, err = run(capsys, "verify", "--n", "1", "--seed", "5")
+    doc = json.loads(out)
+    assert code == 1 and err == ""
+    assert [check["pass"] for check in doc["checks"]].index(False) == 3
+    assert doc["summary"] == {"pass": len(doc["checks"]) - 1, "fail": 1}
 
 
 def test_roundtrip_through_cli_files(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kquadric.laurent as laurent
 from kquadric.gkm import integer_multiple_of
 from kquadric.laurent import (
     LaurentPolynomial,
@@ -295,6 +296,24 @@ def test_divide_product_failure_names_factor():
     with pytest.raises(NonDivisibleError) as err:
         div_exact_product(g, [(1, 0), (0, 1)])
     assert err.value.factor_index == 1
+
+
+def test_divide_product_checks_each_alpha_once(monkeypatch):
+    checked, divided = [], []
+    check, divide = laurent._checked_alpha, laurent.div_exact_binomial
+    monkeypatch.setattr(laurent, "_checked_alpha", lambda alpha, m: checked.append(alpha) or check(alpha, m))
+    monkeypatch.setattr(laurent, "div_exact_binomial", lambda g, alpha: divided.append(alpha) or divide(g, alpha))
+    alphas = [(1, 0, 0), (0, 1, 0), (1, 1, -1)]
+    g = one_minus_monomial(alphas[0]) * one_minus_monomial(alphas[1]) * one_minus_monomial(alphas[2])
+    assert div_exact_product(g, alphas) == one(3)
+    assert checked == divided == alphas  # one check per alpha, each division through the module
+    monkeypatch.undo()
+    # Every alpha is still checked before any division, with the messages of div_exact_binomial.
+    for bad, message in [((0, 0, 0), "nonzero vector"), ((1, 0), "has length 2, expected 3"), ((1.0, 0, 0), "ints")]:
+        with pytest.raises(ValueError, match=message):
+            div_exact_product(zero(3), [(1, 0, 0), bad])
+        with pytest.raises(ValueError, match=message):
+            div_exact_binomial(one(3), bad)
 
 
 # -- sympy as an independent oracle for div_exact_product ---------------------------

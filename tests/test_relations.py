@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations, combinations_with_replacement
 from types import SimpleNamespace
@@ -9,12 +10,17 @@ from kquadric.gkm import VertexMap
 from kquadric.laurent import monomial, one
 from kquadric.quadric import QuadricGraph, monomial_class, thom_class
 from kquadric.relations import (
+    ALL_KINDS,
+    CheckRecord,
     ClassProvider,
+    RelationReport,
+    RelationStream,
     check_antipodal_product,
     check_complete_set_split,
     check_generator_identity,
     check_peeling,
     check_product_vanishing,
+    iter_checks,
     random_empty_intersection_family,
     spare_pole_pair,
     support_index_sets,
@@ -383,6 +389,20 @@ def test_generator_values_away_from_antipodes(q2):
 # -- the aggregate sweep ---------------------------------------------------------------------
 
 
+def report_json_dict(report):
+    """The oracle of `RelationStream.render`: the report as one JSON document."""
+    passes = report.pass_count
+    return {
+        "n": report.n,
+        "checks": [{"kind": kind, "params": params, "pass": passed} for kind, params, passed in report.records],
+        "summary": {"pass": passes, "fail": len(report.records) - passes},
+    }
+
+
+def dumped(doc, pretty):
+    return (json.dumps(doc, indent=2) if pretty else json.dumps(doc, separators=(",", ":"))) + "\n"
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_verify_all_passes(n):
     ctx = QuadricGraph(n)
@@ -390,7 +410,7 @@ def test_verify_all_passes(n):
     assert report.ok
     assert report.fail_count == 0
     assert report.pass_count == len(report.records) > 0
-    doc = report.to_json_dict()
+    doc = report_json_dict(report)
     assert doc["summary"] == {"pass": report.pass_count, "fail": 0}
     assert doc["n"] == n
 
@@ -426,3 +446,58 @@ def test_corrupted_class_is_named_in_failures(q1):
             or any(sorted(complement(q1, 1)) == j for j in p.get("family", ()))
         )
     assert any(mentions_vertex_one(r) for r in failures)
+
+
+KIND_SUBSETS = [ALL_KINDS, (), ("product_vanishing",), ("peeling", "antipodal_product")]
+
+
+# (n, family bound, corruption, kinds): n <= 2 with bounds up to 3 and n = 3
+# up to 2, each with and without a corrupted provider and for every kind
+# subset; then the two largest sweeps, whose pretty oracles alone take about a
+# second, once each with a corrupted provider so that both outcomes appear.
+RENDER_GRID = [
+    (n, bound, corruption, kinds)
+    for n, bounds in ((1, range(4)), (2, range(4)), (3, range(3)))
+    for bound in bounds
+    for corruption in ("none", "missing_vertex")
+    for kinds in KIND_SUBSETS
+] + [(1, 4, "missing_vertex", ALL_KINDS), (2, 4, "missing_vertex", ALL_KINDS), (3, 3, "missing_vertex", ALL_KINDS)]
+
+
+@pytest.mark.parametrize(
+    "n, bound, corruption, kinds",
+    RENDER_GRID,
+    ids=lambda value: "+".join(value) or "no_kinds" if isinstance(value, tuple) else None,
+)
+def test_rendered_stream_equals_the_dumped_report(n, bound, corruption, kinds):
+    ctx = QuadricGraph(n)
+    args = (bound, 6, n + bound, kinds)
+    report = verify_all(ctx, *args, corrupted_provider(ctx, corruption))
+    doc = report_json_dict(report)
+    for pretty in (False, True):
+        streamed = []
+        records = iter_checks(ctx, *args, corrupted_provider(ctx, corruption))
+        stream = RelationStream(n, (streamed.append(r) or r for r in records))
+        assert stream.render(pretty) == dumped(doc, pretty), pretty
+        assert streamed == list(report.records)
+        assert (stream.pass_count, stream.fail_count) == (report.pass_count, report.fail_count)
+
+
+@pytest.mark.parametrize("pretty", [False, True])
+def test_render_encodes_other_params_and_repeated_member_lists(pretty):
+    shared = [1, 2]
+    records = [
+        ("product_vanishing", {"family": [shared, [3]], "random": True}, True),
+        ("product_vanishing", {"random": True, "family": [[3], shared]}, False),  # other key order
+        ("product_vanishing", {"family": [shared, [3]], "random": False}, True),
+        ("product_vanishing", {"family": []}, True),
+        ("product_vanishing", {"family": [list(shared), []]}, False),
+        ("peeling", {"members": [], "i": "x\ny"}, True),
+        ("other", {}, False),
+    ]
+    report = RelationReport(7, tuple(CheckRecord(*record) for record in records))
+    stream = RelationStream(7, iter(report.records))
+    assert stream.render(pretty) == dumped(report_json_dict(report), pretty)
+    assert (stream.pass_count, stream.fail_count) == (4, 3)
+    empty = RelationStream(0, iter(()))
+    assert empty.render(pretty) == dumped(report_json_dict(RelationReport(0, ())), pretty)
