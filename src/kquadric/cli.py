@@ -9,8 +9,8 @@ whitespace.  A request outside a stated bound (--n and --max-n at most
 `MAX_N`, --max-n and --trials at least 1, --family-bound from 0 to
 `MAX_FAMILY_BOUND`, --trials at most `MAX_TRIALS`) is refused with exit
 status 2 before any graph is built; a `decompose` input with an exponent of
-absolute value above `MAX_EXPONENT` is refused with exit status 2 before it
-is decomposed.
+absolute value above `MAX_EXPONENT_BY_N[n]` is refused with exit status 2
+before it is decomposed.
 """
 from __future__ import annotations
 
@@ -60,11 +60,15 @@ def _from_input(build, *args, **kwargs):
 # terms per vertex; at n = 3 a family bound of 4 enumerates 2.4 million
 # candidate families, and each one with an empty intersection is checked and
 # rendered into the output, which is built whole before it is written.  A
-# coefficient of a decomposed class can have quadratically many terms in its
-# largest exponent: the n = 1 class M_1^N, a file of a few hundred bytes, has
-# a coefficient of N(N - 1) terms, about 65,000 at N = MAX_EXPONENT.
+# coefficient of a decomposed class grows polynomially in its largest
+# exponent N, faster at larger n: the class M_1^N, a file of a few hundred
+# bytes, has a coefficient of N(N - 1) terms at n = 1, and of 158,906 terms
+# at n = 2, N = 64.  The exponent bound is set per n so that `decompose` of
+# M_1^N at the bound takes about 2 s at most: 0.6, 2.1, 1.9, 2.0, 1.5, 1.2,
+# 1.6 and 0.8 s for n = 1..8, measured on a 2-core machine with Python 3.11.
 MAX_N = 8
-MAX_EXPONENT = 256
+MAX_EXPONENT_BY_N = {1: 256, 2: 64, 3: 26, 4: 19, 5: 16, 6: 15, 7: 15, 8: 14}
+MAX_EXPONENT = MAX_EXPONENT_BY_N[1]
 MAX_FAMILY_BOUND = 4
 MAX_TRIALS = 10_000
 
@@ -209,8 +213,9 @@ def _cmd_decompose(args) -> int:
     ctx = _from_input(QuadricGraph, args.n)
     vm = _load_vertex_map(ctx, args.infile)
     largest = max((abs(x) for v in ctx.vertices for e in vm[v].support() for x in e), default=0)
-    if largest > MAX_EXPONENT:
-        raise UsageError(f"{args.infile}: exponent {largest} exceeds the supported maximum {MAX_EXPONENT}")
+    bound = MAX_EXPONENT_BY_N[ctx.n]
+    if largest > bound:
+        raise UsageError(f"{args.infile}: exponent {largest} exceeds the supported maximum {bound}")
     try:
         result = decompose(ctx, vm)
     except NotAKClassError as exc:
@@ -332,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="decompose a K-class file over the canonical basis")
     p.add_argument("--n", type=int, required=True, help=n_help)
-    in_help = f"a K-class JSON file, every |exponent| at most {MAX_EXPONENT}"
+    bounds = ", ".join(map(str, MAX_EXPONENT_BY_N.values()))
+    in_help = f"a K-class JSON file, every |exponent| at most {bounds} for n = 1..{MAX_N}"
     p.add_argument("--in", dest="infile", required=True, help=in_help)
     p.add_argument("--out")
     p.add_argument("--pretty", action="store_true")

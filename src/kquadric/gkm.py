@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .laurent import LaurentPolynomial, constant, divisible_by_binomial
+from .laurent import LaurentPolynomial, _checked_alpha, constant, divisible_by_binomial
 from .linalg import integer_rank
 
 Edge = tuple[int, int]
@@ -46,7 +46,7 @@ class GkmGraph:
     diagnosis.
     """
 
-    __slots__ = ("m", "vertex_count", "_axial", "_stars")
+    __slots__ = ("m", "vertex_count", "_axial", "_stars", "_divisors")
 
     def __init__(self, m: int, vertex_count: int, axial: Mapping[Edge, Iterable[int]]):
         if not isinstance(m, int) or m < 1:
@@ -73,6 +73,13 @@ class GkmGraph:
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "_axial", weights)
         object.__setattr__(self, "_stars", {v: tuple(es) for v, es in stars.items()})
+        # (i, j, weight(i, j)) per unordered edge for `is_k_class`: each nonzero
+        # weight is checked as a divisor once, here; a zero one raises when used.
+        divisors = []
+        for i, j in self.unordered_edges():
+            w = weights[(i, j)]
+            divisors.append((i, j, _checked_alpha(w, m) if any(w) else w))
+        object.__setattr__(self, "_divisors", tuple(divisors))
 
     def __setattr__(self, name, value):
         raise AttributeError("GkmGraph is immutable")
@@ -251,6 +258,15 @@ def integer_multiple_of(diff: Iterable[int], base: Iterable[int]) -> int | None:
     return k if all(d == k * b for d, b in zip(diff, base)) else None
 
 
+def _coset(w: tuple[int, ...], base: tuple[int, ...], j: int | None) -> tuple[tuple[int, ...], int]:
+    """(w - t*base, t) with t = w_j // base_j, where j is a nonzero coordinate
+    of base; (w, 0) when base is zero (j is None)."""
+    if j is None:
+        return w, 0
+    t = w[j] // base[j]
+    return tuple(a - t * b for a, b in zip(w, base)), t
+
+
 def derive_connection(graph: GkmGraph) -> Connection:
     """The unique connection compatible with the axial function.
 
@@ -258,23 +274,33 @@ def derive_connection(graph: GkmGraph) -> Connection:
     is the unique edge whose weight differs from weight(e') by an integer
     multiple of weight(e).  Raises ConnectionDerivationError when no partner
     exists (not a GKM graph) or several do (three-independence violated).
+
+    Partners are found by coset key, not by testing every pair of edges: each
+    weight w is keyed by its representative w - t*weight(e) modulo
+    Z*weight(e), with t = w_j // weight(e)_j at the first nonzero coordinate j
+    of weight(e), as in `laurent._line_sums`.  Adding weight(e) to w adds
+    exactly 1 to t, whatever the signs and even for a non-primitive weight,
+    so two weights share a key iff their difference is an integer multiple
+    of weight(e), and the multiple (the witness) is the difference of their
+    t's.  Looking up each edge at p among the keyed edges at q therefore
+    finds exactly the partners a test of every pair finds, in star order.
+    A zero weight(e) keys each weight by itself: only equal weights match.
     """
+    axial = graph._axial
     maps: dict[Edge, dict[Edge, tuple[Edge, int]]] = {}
     for e in graph.edges():
         p, q = e
-        w_e = graph.axial(p, q)
+        w_e = axial[e]
+        j = next((i for i, x in enumerate(w_e) if x), None)
+        partners: dict[tuple[int, ...], list[tuple[Edge, int]]] = {}
+        for e_double in graph.edges_from(q):
+            key, t = _coset(axial[e_double], w_e, j)
+            partners.setdefault(key, []).append((e_double, t))
         star: dict[Edge, tuple[Edge, int]] = {}
         used: set[Edge] = set()
         for e_prime in graph.edges_from(p):
-            w_prime = graph.axial(*e_prime)
-            candidates = []
-            for e_double in graph.edges_from(q):
-                w_double = graph.axial(*e_double)
-                k = integer_multiple_of(
-                    tuple(a - b for a, b in zip(w_double, w_prime)), w_e
-                )
-                if k is not None:
-                    candidates.append((e_double, k))
+            key, t = _coset(axial[e_prime], w_e, j)
+            candidates = partners.get(key, ())
             if not candidates:
                 raise ConnectionDerivationError(
                     f"no connection partner for edge {e_prime} along {e}: not a GKM graph",
@@ -286,14 +312,14 @@ def derive_connection(graph: GkmGraph) -> Connection:
                     "three-independence violated",
                     kind="ambiguous",
                 )
-            target, k = candidates[0]
+            (target, t_target), = candidates
             if target in used:
                 raise ConnectionDerivationError(
                     f"connection along {e} is not a bijection (edge {target} matched twice)",
                     kind="ambiguous",
                 )
             used.add(target)
-            star[e_prime] = (target, k)
+            star[e_prime] = (target, t_target - t)
         if star[e][0] != (q, p):
             raise ConnectionDerivationError(
                 f"edge {e} does not transport to its own reversal: not a GKM graph",
@@ -411,11 +437,12 @@ def is_k_class(graph: GkmGraph, vm: VertexMap) -> KClassReport:
     if vm.m != graph.m:
         raise ValueError(f"vertex map has {vm.m} variables, graph expects {graph.m}")
     failing = []
-    for i, j in graph.unordered_edges():
-        diff = vm[i] - vm[j]
+    values = vm.values
+    for i, j, alpha in graph._divisors:
+        diff = values[i] - values[j]
         if diff.is_zero():
             continue
-        if not divisible_by_binomial(diff, graph.axial(i, j)):
+        if not divisible_by_binomial(diff, alpha):
             failing.append((i, j))
     return KClassReport(not failing, tuple(failing))
 

@@ -408,6 +408,15 @@ class _Accumulator:
         return LaurentPolynomial._raw(self.m, dict(self._terms), self._layout, self._bound)
 
 
+def _sharing_keys(p: LaurentPolynomial, keys: dict[int, int]) -> LaurentPolynomial:
+    """p with each packed key replaced by the equal int held in `keys` (a
+    missing one is added).  Equal ints are interchangeable, so the value is
+    unchanged; polynomials passed through one table hold one int object per
+    distinct key, which saves memory when many of them are kept."""
+    share = keys.setdefault
+    return LaurentPolynomial._raw(p.m, {share(key, key): c for key, c in p._terms.items()}, p._layout, p._bound)
+
+
 def _packed(m: int, terms: dict[Exponent, int]) -> tuple[dict[int, int], _Layout, int]:
     """Packed keys, layout and bound for canonical tuple-keyed terms."""
     bound = max((abs(x) for e in terms for x in e), default=0)
@@ -497,7 +506,9 @@ def divisible_by_binomial(g: LaurentPolynomial, alpha: Iterable[int]) -> bool:
     coset sums to zero.  This is exact: modulo y^alpha - 1 the ring is the
     group ring of Z^m / Z·alpha.
     """
-    return _line_sums(g, _checked_alpha(alpha, g.m))[3]
+    if type(alpha) is not _Divisor:  # gkm.is_k_class passes weights checked once per graph
+        alpha = _checked_alpha(alpha, g.m)
+    return _line_sums(g, alpha)[3]
 
 
 def div_exact_binomial(g: LaurentPolynomial, alpha: Iterable[int]) -> LaurentPolynomial:

@@ -17,11 +17,22 @@ assembled:
   inverse);
 * the Thom class of an admissible set P (one containing no antipodal pair):
   supported on P, with value prod(1 - f(k)*f(l)^-1) at l in P, the product
-  running over the vertices k outside P other than antipode(l);
+  running over the vertices k outside P other than antipode(l).  Those k
+  are exactly the ends of the edges that leave P from l, and
+  f(k)*f(l)^-1 = y^alpha(l, k) is the edge's own weight, so the value is the
+  product of the binomials 1 - y^alpha(l, k) over the edges leaving P;
 * the antipodal product class, the common value of (monomial class at v) *
   (monomial class at antipode(v));
 * the supported classes of the relation suite, 1 - (monomial class at v) or
   a Thom class, which `relations.ClassProvider` assembles from the above.
+
+Each `QuadricGraph` memoizes those products, keyed by (l, set of exit
+vertices): the binomial of every edge is built once, each longer product is
+one binomial times a memoized shorter one (mostly the value of another Thom
+class), equal exponents share one packed-key int, and one zero polynomial
+serves every vertex outside P.  The memo is private to its context and lives
+exactly as long as it: two contexts share nothing, and nothing is cached per
+n at module level.
 """
 from __future__ import annotations
 
@@ -32,9 +43,10 @@ from .gkm import GkmGraph, VertexMap, derive_connection
 from .laurent import (
     LaurentPolynomial,
     ParseError,
+    _sharing_keys,
     from_json_dict,
     monomial,
-    one,
+    one_minus_monomial,
     to_json_dict,
     zero,
 )
@@ -44,9 +56,12 @@ Weight = tuple[int, ...]
 
 class QuadricGraph:
     """Immutable context for one quadric graph: the labeled graph, its derived
-    connection, and the weight/character data every generator class is built from."""
+    connection, and the weight/character data every generator class is built from.
 
-    __slots__ = ("n", "m", "vertex_count", "graph", "connection", "_weights")
+    Its one mutable part is the private memo of Thom-class values (see the
+    module docstring), filled on first use; it never changes a result."""
+
+    __slots__ = ("n", "m", "vertex_count", "graph", "connection", "_weights", "_zero", "_exit_products", "_exit_keys")
 
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 1:
@@ -67,6 +82,9 @@ class QuadricGraph:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "connection", derive_connection(graph))
         object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_zero", zero(m))
+        object.__setattr__(self, "_exit_products", {})
+        object.__setattr__(self, "_exit_keys", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadricGraph is immutable")
@@ -127,6 +145,32 @@ class QuadricGraph:
         subsets.sort(key=lambda s: (len(s), sorted(s)))
         return subsets
 
+    def _exit_product(self, l: int, exits: int) -> LaurentPolynomial:
+        """The product of 1 - y^alpha(l, k) over the vertices k in `exits`, a
+        nonzero bitmask with bit k-1 for vertex k; every k must be a neighbour
+        of l.  A single edge's binomial is built once.  A longer product is
+        one binomial times the memoized product over the rest; the factor
+        taken off is the highest k whose antipode is also in `exits`, if there
+        is one, so that the rest is again a Thom-class value at l (that of
+        P + {k} when `exits` comes from P) and the memo holds little else.
+        Every memoized value takes its packed keys from one table per
+        context, so equal exponents share one int object."""
+        memo = self._exit_products
+        value = memo.get((l, exits))
+        if value is None:
+            count = self.vertex_count
+            k = next(
+                (k for k in range(count, 0, -1) if exits >> (k - 1) & exits >> (count - k) & 1),
+                exits.bit_length(),
+            )
+            rest = exits ^ 1 << (k - 1)
+            if rest:
+                value = self._exit_product(l, 1 << (k - 1)) * self._exit_product(l, rest)
+            else:
+                value = one_minus_monomial(self.graph.axial(l, k))
+            value = memo[(l, exits)] = _sharing_keys(value, self._exit_keys)
+        return value
+
     def __repr__(self) -> str:
         return f"QuadricGraph(n={self.n})"
 
@@ -164,25 +208,27 @@ def monomial_class(ctx: QuadricGraph, v: int, inverted: bool = False) -> VertexM
 
 
 def thom_class(ctx: QuadricGraph, members: Iterable[int]) -> VertexMap:
-    """The Thom class of an admissible vertex set: supported on it, with the
-    product of 1 - f(k)f(l)^-1 over external vertices k != antipode(l) at l."""
+    """The Thom class of an admissible vertex set P: supported on P, with value
+    at l in P the product of 1 - y^alpha(l, k) over the edges (l, k) leaving
+    P, that is over the k outside P other than antipode(l).
+
+    The values come from the context's memo (see the module docstring): a
+    value is built once per (l, exit set) for the life of `ctx`, and vertices
+    outside P share its one zero polynomial.
+    """
     members = frozenset(members)
     if not ctx.is_admissible(members):
         raise ValueError(f"{sorted(members)} is empty, out of range, or contains an antipodal pair")
+    outside = (1 << ctx.vertex_count) - 1
+    for l in members:
+        outside ^= 1 << (l - 1)
     values = {}
     for l in ctx.vertices:
-        if l not in members:
-            values[l] = zero(ctx.m)
-            continue
-        h_l = ctx.vertex_weight(l)
-        value = one(ctx.m)
-        for k in ctx.vertices:
-            if k in members or k == ctx.antipode(l):
-                continue
-            value = value * (
-                one(ctx.m) - monomial(tuple(a - b for a, b in zip(ctx.vertex_weight(k), h_l)))
-            )
-        values[l] = value
+        if l in members:
+            # P has at most n+1 members, so some k outside P is not antipode(l).
+            values[l] = ctx._exit_product(l, outside & ~(1 << (ctx.vertex_count - l)))
+        else:
+            values[l] = ctx._zero
     return VertexMap(values)
 
 

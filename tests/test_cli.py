@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import kquadric.cli as cli_module
-from kquadric.cli import MAX_EXPONENT, MAX_FAMILY_BOUND, MAX_N, MAX_TRIALS, main
+from kquadric.cli import MAX_EXPONENT, MAX_EXPONENT_BY_N, MAX_FAMILY_BOUND, MAX_N, MAX_TRIALS, main
 from kquadric.gkm import VertexMap
 from kquadric.laurent import one, zero
 from kquadric.quadric import (
@@ -403,11 +403,11 @@ def test_roundtrip_through_cli_files(tmp_path, capsys):
     assert recompose(ctx, d) == monomial_class(ctx, 2)
 
 
-def m1_power_file(tmp_path, power):
-    """The n = 1 class M_1^power: its largest |exponent| is `power`."""
-    ctx = QuadricGraph(1)
+def m1_power_file(tmp_path, power, n=1):
+    """The class M_1^power: its largest |exponent| is `power`."""
+    ctx = QuadricGraph(n)
     m1 = monomial_class(ctx, 1)
-    path = tmp_path / f"m1_{power}.json"
+    path = tmp_path / f"m1_n{n}_{power}.json"
     values = VertexMap({v: m1[v] ** power for v in ctx.vertices})
     path.write_text(json.dumps(vertex_map_to_json_dict(ctx, values)))
     return path
@@ -431,3 +431,35 @@ def test_decompose_past_the_exponent_bound_is_refused(tmp_path, capsys, monkeypa
     assert code == 2
     assert out == ""
     assert err == f"error: {path}: exponent {MAX_EXPONENT + 1} exceeds the supported maximum {MAX_EXPONENT}\n"
+
+
+def test_exponent_bound_shrinks_with_n():
+    assert MAX_EXPONENT == MAX_EXPONENT_BY_N[1] == 256
+    assert sorted(MAX_EXPONENT_BY_N) == list(range(1, MAX_N + 1))
+    bounds = list(MAX_EXPONENT_BY_N.values())
+    assert bounds == sorted(bounds, reverse=True)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_decompose_at_the_exponent_bound_of_n_is_accepted(tmp_path, capsys, n):
+    bound = MAX_EXPONENT_BY_N[n]
+    path = m1_power_file(tmp_path, bound, n)
+    values = json.loads(path.read_text())["values"].values()
+    assert max(abs(x) for p in values for t in p["terms"] for x in t["exp"]) == bound
+    code, out, err = run(capsys, "decompose", "--n", str(n), "--in", str(path))
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["coeffs"]) == 2 * n + 2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_decompose_past_the_exponent_bound_of_n_is_refused(tmp_path, capsys, monkeypatch, n):
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("a refused input was decomposed")
+
+    monkeypatch.setattr(cli_module, "decompose", no_decompose)
+    bound = MAX_EXPONENT_BY_N[n]
+    path = m1_power_file(tmp_path, bound + 1, n)
+    code, out, err = run(capsys, "decompose", "--n", str(n), "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: exponent {bound + 1} exceeds the supported maximum {bound}\n"

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import kquadric.gkm as gkm
+import kquadric.laurent as laurent
 from kquadric.gkm import (
     Connection,
     ConnectionDerivationError,
@@ -14,8 +16,8 @@ from kquadric.gkm import (
     integer_multiple_of,
     is_k_class,
 )
-from kquadric.laurent import monomial, one, zero
-from kquadric.quadric import monomial_class, thom_class
+from kquadric.laurent import divisible_by_binomial, monomial, one, zero
+from kquadric.quadric import QuadricGraph, monomial_class, thom_class
 
 
 def two_path_graph(weight_12=(1, 0), weight_21=(-1, 0)):
@@ -209,6 +211,38 @@ def test_k_class_dimension_mismatch(q1):
     f = VertexMap.constant(q1.vertices, one(3))
     with pytest.raises(ValueError):
         is_k_class(q1.graph, f)
+
+
+def test_k_class_test_checks_each_weight_once_per_graph(monkeypatch):
+    checked, tested = [], []
+    check, divisible = laurent._checked_alpha, gkm.divisible_by_binomial
+    counting = lambda alpha, m: checked.append(alpha) or check(alpha, m)  # noqa: E731
+    monkeypatch.setattr(laurent, "_checked_alpha", counting)
+    monkeypatch.setattr(gkm, "_checked_alpha", counting)
+    ctx = QuadricGraph(2)
+    assert checked == [ctx.graph.axial(i, j) for i, j in ctx.graph.unordered_edges()]
+    del checked[:]
+    monkeypatch.setattr(gkm, "divisible_by_binomial", lambda g, alpha: tested.append(alpha) or divisible(g, alpha))
+    classes = [monomial_class(ctx, v) for v in ctx.vertices] + [thom_class(ctx, [2, 4, 6])]
+    for _ in range(3):
+        assert all(is_k_class(ctx.graph, f) for f in classes)
+    assert tested and not checked  # every divisibility test goes through gkm's global, none re-checks
+    assert all(type(alpha) is laurent._Divisor for alpha in tested)
+    monkeypatch.undo()
+    # Straight calls still check their alpha.
+    for bad, message in [((0, 0, 0), "nonzero vector"), ((1, 0), "has length 2, expected 3"), ((1.0, 0, 0), "ints")]:
+        with pytest.raises(ValueError, match=message):
+            divisible_by_binomial(one(3), bad)
+
+
+def test_k_class_test_refuses_a_zero_weight_it_meets():
+    axial = {(1, 2): (0, 0), (2, 1): (0, 0), (1, 3): (1, 0), (3, 1): (-1, 0)}
+    graph = GkmGraph(2, 3, axial)  # the axioms are reported, not enforced, at construction
+    f = VertexMap({1: one(2), 2: one(2), 3: one(2)})
+    assert is_k_class(graph, f)  # no difference across the zero-weight edge: nothing divided
+    g = VertexMap({1: one(2), 2: zero(2), 3: one(2)})
+    with pytest.raises(ValueError, match="nonzero vector"):
+        is_k_class(graph, g)
 
 
 # -- vertex map operations ------------------------------------------------------------
