@@ -39,12 +39,10 @@ from .laurent import (
     div_exact_binomial,
     div_exact_product,
     divisible_by_binomial,
-    emit,
     from_json_dict,
     monomial,
     one,
     one_minus_monomial,
-    parse,
     to_json_dict,
     zero,
 )
@@ -58,16 +56,15 @@ from .quadric import (
 )
 from .relations import (
     ClassProvider,
-    RelationReport,
     check_antipodal_product,
     check_complete_set_split,
     check_generator_identity,
     check_peeling,
     check_product_vanishing,
+    iter_checks,
     random_empty_intersection_family,
     spare_pole_pair,
     support_index_sets,
-    verify_all,
 )
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ function, so everything here can be evaluated edge-parallel and merged.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
@@ -120,20 +121,6 @@ class GkmGraph:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, doc) -> "GkmGraph":
-        if not isinstance(doc, dict) or set(doc) != {"m", "vertices", "edges"}:
-            raise ValueError("graph document must have exactly the keys 'm', 'vertices', 'edges'")
-        axial = {}
-        for entry in doc["edges"]:
-            if not isinstance(entry, dict) or set(entry) != {"from", "to", "alpha"}:
-                raise ValueError(f"bad edge entry {entry!r}")
-            key = (entry["from"], entry["to"])
-            if key in axial:
-                raise ValueError(f"duplicate edge entry for {key}")
-            axial[key] = entry["alpha"]
-        return cls(doc["m"], doc["vertices"], axial)
-
 
 class VertexMap:
     """A total map from vertices to Laurent polynomials, with pointwise ring ops."""
@@ -179,11 +166,16 @@ class VertexMap:
             return other
         return NotImplemented
 
-    def __add__(self, other):
+    def _pointwise(self, op, other):
+        """op(self[v], other[v]) at every vertex, or NotImplemented."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return VertexMap({v: p + other.values[v] for v, p in self.values.items()})
+        values = other.values
+        return VertexMap({v: op(p, values[v]) for v, p in self.values.items()})
+
+    def __add__(self, other):
+        return self._pointwise(operator.add, other)
 
     __radd__ = __add__
 
@@ -191,19 +183,13 @@ class VertexMap:
         return VertexMap({v: -p for v, p in self.values.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return VertexMap({v: p - other.values[v] for v, p in self.values.items()})
+        return self._pointwise(operator.sub, other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return VertexMap({v: p * other.values[v] for v, p in self.values.items()})
+        return self._pointwise(operator.mul, other)
 
     __rmul__ = __mul__
 

@@ -14,26 +14,26 @@ with bias = 2^(width-1).  So the zero vector packs to the sum of the biases,
 a product key is k1 + k2 - zero, shifting by alpha adds the signed packing
 Σ alpha_i·2^(shift_i), and sorting packed ints sorts exponents
 lexicographically.  The public API (constructor, `items`, `support`,
-`coefficient`, str, JSON) takes and returns tuples only.
+`coefficient`, str, JSON documents) takes and returns tuples only.
 
 Exactness for any exponent size.  Each polynomial carries `_bound`, an upper
 bound on |e_i| over all its terms, and keeps _bound < bias, so every field is
 in range and packing is a bijection.  A sum's bound is the larger operand
-bound, a product's the sum of the operand bounds; when a result bound would
-not fit, the operation works at a layout wide enough for it.  Layouts widen
-from these tracked bounds only, never by re-measuring an operand.  Widths run
-16, 32, 64, ... bits, an operation between two widths repacks the narrower
-operand, and `==` compares across widths.
+bound, a product's the sum of the operand bounds.  One rule, `_common_layout`,
+lays out every operation on two operands: the wider of their layouts, or one
+wide enough for the result bound when that reaches the wider one's bias.
+Layouts widen from these tracked bounds only, never by re-measuring an
+operand.  Widths run 16, 32, 64, ... bits, an operation between two widths
+repacks the narrower operand, and `==` compares across widths.
 
 In-place sums.  The private `_Accumulator` is a mutable running sum for the
 package's own loops (`decompose` subtracts from it, `recompose` adds
 products to it).  Its fused operation, acc += sign·h·b, walks the term pairs
 of h and b and writes straight into the accumulator's dict, so neither the
 product nor a copy of the sum is built; `__mul__` runs the same pair loop
-into an empty dict.  It widens by the same tracked-bound rule: the bound
-becomes max(acc, h + b), and the terms are repacked only when that reaches
-the bias.  `value()` returns a polynomial over a copy of the terms, so no
-polynomial ever aliases an accumulator.
+into an empty dict.  It widens by the same rule, for the bound
+max(acc, h + b).  `value()` returns a polynomial over a copy of the terms,
+so no polynomial ever aliases an accumulator.
 
 Besides the ring operations the module provides the two division primitives
 everything downstream is built on:
@@ -50,14 +50,13 @@ for the coordinate j of largest |alpha_j|, which is also right for
 non-primitive alpha.  On packed keys that is one field read, one floor
 division and key - t·P(alpha).  Then |t| <= |e_j|/|alpha_j| + 1, so every
 coordinate of the representative satisfies |e_i - t·alpha_i| <= 2·bound +
-max|alpha|; the pass widens first when that would not fit.  Division then
-fills the quotient in one walk over g's keys in sorted order, in which every
-line is met in increasing t.  Quotient exponents lie between two exponents of
-g on their line, so they stay within g's bound.
+max|alpha|; the pass widens by the same rule.  Division then fills the
+quotient in one walk over g's keys in sorted order, in which every line is
+met in increasing t.  Quotient exponents lie between two exponents of g on
+their line, so they stay within g's bound.
 """
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -127,8 +126,12 @@ def _layout_for(m: int, bound: int) -> _Layout:
     return _layout(m, width)
 
 
-def _wider(a: _Layout, b: _Layout) -> _Layout:
-    return a if a.width >= b.width else b
+def _common_layout(m: int, a: _Layout, b: _Layout, bound: int) -> _Layout:
+    """The layout of an operation on operands held in `a` and `b` whose result
+    has exponents up to `bound`: the wider of the two, or the narrowest that
+    holds `bound` when that reaches the wider one's bias."""
+    layout = a if a.width >= b.width else b
+    return layout if bound < layout.bias else _layout_for(m, bound)
 
 
 def _keyed(p, layout: _Layout) -> dict[int, int]:
@@ -223,7 +226,7 @@ class LaurentPolynomial:
             return NotImplemented
         if self.m != other.m or len(self._terms) != len(other._terms):
             return False
-        layout = _wider(self._layout, other._layout)
+        layout = _common_layout(self.m, self._layout, other._layout, 0)
         return _keyed(self, layout) == _keyed(other, layout)
 
     __hash__ = None  # mutable-looking API keeps these out of sets/dict keys
@@ -241,14 +244,15 @@ class LaurentPolynomial:
 
     def _add(self, other: "LaurentPolynomial", sign: int) -> "LaurentPolynomial":
         """self + sign * other, copying the larger operand and merging in the smaller."""
-        layout = _wider(self._layout, other._layout)
+        bound = max(self._bound, other._bound)
+        layout = _common_layout(self.m, self._layout, other._layout, bound)
         a, b = _keyed(self, layout), _keyed(other, layout)
         if len(a) < len(b):
             a, b = (b if sign == 1 else {key: -c for key, c in b.items()}), a
             sign = 1
         result = dict(a)
         _merge_into(result, b, sign)
-        return LaurentPolynomial._raw(self.m, result, layout, max(self._bound, other._bound))
+        return LaurentPolynomial._raw(self.m, result, layout, bound)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -280,10 +284,8 @@ class LaurentPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        layout = _wider(self._layout, other._layout)
         bound = self._bound + other._bound
-        if bound >= layout.bias:
-            layout = _layout_for(self.m, bound)
+        layout = _common_layout(self.m, self._layout, other._layout, bound)
         result: dict[int, int] = {}
         _mul_into(result, _keyed(self, layout), _keyed(other, layout), layout.zero, 1)
         return LaurentPolynomial._raw(self.m, result, layout, bound)
@@ -379,10 +381,10 @@ class _Accumulator:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def _fit(self, layout: _Layout, bound: int) -> _Layout:
-        """Hold the terms in `layout`, or wider if `bound` needs it, and return it."""
-        if bound >= layout.bias:
-            layout = _layout_for(self.m, bound)
+    def _fit(self, other: _Layout, bound: int) -> _Layout:
+        """Hold the terms in the common layout of theirs and `other` for a sum
+        bounded by `bound`, and return it."""
+        layout = _common_layout(self.m, self._layout, other, bound)
         self._terms = _keyed(self, layout)
         self._layout = layout
         self._bound = bound
@@ -393,15 +395,13 @@ class _Accumulator:
 
     def subtract(self, p: LaurentPolynomial) -> None:
         """self -= p, merged into the running sum's dict."""
-        layout = self._fit(_wider(self._layout, p._layout), max(self._bound, p._bound))
+        layout = self._fit(p._layout, max(self._bound, p._bound))
         _merge_into(self._terms, _keyed(p, layout), -1)
 
     def add_product(self, h: LaurentPolynomial, b: LaurentPolynomial, sign: int = 1) -> None:
         """self += sign * h * b, without building the product."""
-        layout = self._fit(
-            _wider(_wider(self._layout, h._layout), b._layout),
-            max(self._bound, h._bound + b._bound),
-        )
+        bound = h._bound + b._bound
+        layout = self._fit(_common_layout(self.m, h._layout, b._layout, bound), max(self._bound, bound))
         _mul_into(self._terms, _keyed(h, layout), _keyed(b, layout), layout.zero, sign)
 
     def value(self) -> LaurentPolynomial:
@@ -485,10 +485,7 @@ def _line_sums(g: LaurentPolynomial, alpha: Exponent):
     """
     top = max(abs(a) for a in alpha)
     j = next(i for i, a in enumerate(alpha) if abs(a) == top)
-    layout = g._layout
-    reach = 2 * g._bound + top
-    if reach >= layout.bias:
-        layout = _layout_for(g.m, reach)
+    layout = _common_layout(g.m, g._layout, g._layout, 2 * g._bound + top)
     terms, step = _keyed(g, layout), layout.offset(alpha)
     shift, mask, bias, a_j = layout.shifts[j], layout.mask, layout.bias, alpha[j]
     sums: dict[int, int] = {}
@@ -609,16 +606,3 @@ def from_json_dict(doc) -> LaurentPolynomial:
             raise ParseError(f"term {k} ({exp!r}): duplicate exponent key")
         terms[key] = value
     return LaurentPolynomial._raw(m, *_packed(m, terms))
-
-
-def emit(p: LaurentPolynomial) -> str:
-    """Deterministic compact JSON text for p (sorted terms, decimal-string coefficients)."""
-    return json.dumps(to_json_dict(p), separators=(",", ":"))
-
-
-def parse(text: str) -> LaurentPolynomial:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from None
-    return from_json_dict(doc)

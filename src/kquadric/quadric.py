@@ -56,7 +56,7 @@ Weight = tuple[int, ...]
 
 class QuadricGraph:
     """Immutable context for one quadric graph: the labeled graph, its derived
-    connection, and the weight/character data every generator class is built from.
+    connection, and the weight data every generator class is built from.
 
     Its one mutable part is the private memo of Thom-class values (see the
     module docstring), filled on first use; it never changes a result."""
@@ -118,10 +118,6 @@ class QuadricGraph:
             return self._weights[j]
         except KeyError:
             raise ValueError(f"vertex {j} out of range 1..{self.vertex_count}") from None
-
-    def vertex_character(self, j: int) -> LaurentPolynomial:
-        """The unit monomial y^h(j)."""
-        return monomial(self.vertex_weight(j))
 
     def is_admissible(self, members: Iterable[int]) -> bool:
         """Nonempty, in range, and free of antipodal pairs."""

@@ -21,19 +21,18 @@ plus the generator identity that recovers each ring variable y_i as
 (monomial class at i+1) * (inverse monomial class at 1).  Families 2-4 and
 the generator identities are identities of vertex maps.
 
-`iter_checks` sweeps every instance of 2-4 and the generator identities, runs
-family 1 exhaustively up to a size bound (filtering candidate families by an
-AND of member masks) and on seeded random families, and yields one
-`CheckRecord` per instance (checks never raise on a failed identity, only on
-malformed parameters).  `verify_all` keeps them in a `RelationReport`;
-`RelationStream.render` turns them into the report's JSON text as they come
-and keeps only the counts.
+`iter_checks` is the one sweep: it runs every instance of 2-4 and the
+generator identities, runs family 1 exhaustively up to a size bound
+(filtering candidate families by an AND of member masks) and on seeded random
+families, and yields one `CheckRecord` per instance (checks never raise on a
+failed identity, only on malformed parameters).  Callers consume the records
+as they come: `RelationStream.render` turns them into the report's JSON text
+and keeps only the counts, and a tally needs no more than a `Counter`.
 """
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
@@ -70,23 +69,20 @@ class ClassProvider:
         self._cache[(kind, key)] = vm
         self._masks.clear()
 
+    def _lookup(self, kind: str, key, build, *args) -> VertexMap:
+        vm = self._cache.get((kind, key))
+        if vm is None:
+            vm = self._cache[(kind, key)] = build(self.ctx, key, *args)
+        return vm
+
     def monomial(self, v: int) -> VertexMap:
-        key = ("M", v)
-        if key not in self._cache:
-            self._cache[key] = monomial_class(self.ctx, v)
-        return self._cache[key]
+        return self._lookup("M", v, monomial_class)
 
     def monomial_inverse(self, v: int) -> VertexMap:
-        key = ("Minv", v)
-        if key not in self._cache:
-            self._cache[key] = monomial_class(self.ctx, v, inverted=True)
-        return self._cache[key]
+        return self._lookup("Minv", v, monomial_class, True)
 
     def thom(self, members) -> VertexMap:
-        key = ("Delta", frozenset(members))
-        if key not in self._cache:
-            self._cache[key] = thom_class(self.ctx, key[1])
-        return self._cache[key]
+        return self._lookup("Delta", frozenset(members), thom_class)
 
     def supported(self, members) -> VertexMap:
         """The class supported inside `members`: 1 - (monomial class at v)
@@ -256,27 +252,6 @@ class CheckRecord(NamedTuple):
     passed: bool
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    n: int
-    records: tuple[CheckRecord, ...]
-
-    @property
-    def pass_count(self) -> int:
-        return sum(passed for _, _, passed in self.records)
-
-    @property
-    def fail_count(self) -> int:
-        return len(self.records) - self.pass_count
-
-    @property
-    def ok(self) -> bool:
-        return self.fail_count == 0
-
-    def failures(self) -> list[CheckRecord]:
-        return [r for r in self.records if not r.passed]
-
-
 ALL_KINDS = (
     "generator_identity",
     "antipodal_product",
@@ -362,19 +337,6 @@ def iter_checks(
                 {"family": sorted([sorted_members[j] for j in family]), "random": True},
                 check_product_vanishing(ctx, family, provider),
             )
-
-
-def verify_all(
-    ctx,
-    family_size_bound: int = 3,
-    random_family_count: int = 100,
-    seed: int = 0,
-    kinds=ALL_KINDS,
-    provider: ClassProvider | None = None,
-) -> RelationReport:
-    """Run every relation instance of `iter_checks` and keep the records in a report."""
-    records = iter_checks(ctx, family_size_bound, random_family_count, seed, kinds, provider)
-    return RelationReport(ctx.n, tuple(records))
 
 
 class RelationStream:

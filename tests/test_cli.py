@@ -328,6 +328,7 @@ def test_usage_errors_exit_two(capsys):
         (["gen", "--n", "1", "--class", "F", "--subset", "1,4"], None, "neither the complement"),
         (["check", "--n", "1", "--in", "@in"], b"\xff", "can't decode byte 0xff"),
         (["decompose", "--n", "1", "--in", "@in"], b'{"n": 1' + b"0" * 5000 + b"}", "Exceeds the limit"),
+        (["check", "--n", "1", "--in", "@in"], b"not json at all {", "malformed JSON"),
     ],
 )
 def test_bad_values_are_usage_errors(tmp_path, capsys, argv, source, message):

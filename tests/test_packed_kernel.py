@@ -5,9 +5,11 @@ Exponents are drawn on both sides of every field-width boundary (2^15, 2^31,
 crosses it), at ±10^12 and past 2^63, each shifted by small vectors so that
 terms of different operands meet and cancel.
 """
+import json
 import os
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -23,10 +25,10 @@ from kquadric.laurent import (
     div_exact_binomial,
     div_exact_product,
     divisible_by_binomial,
-    emit,
     monomial,
     one,
     one_minus_monomial,
+    to_json_dict,
 )
 
 EDGES = (2**14, 2**15, 2**30, 2**31, 2**62, 2**63, 10**12, 2**64)
@@ -62,6 +64,10 @@ def operands(draw):
     scale = draw(st.sampled_from((1, 1, 2, -3)))
     alpha = tuple(scale * x for x in draw(st.tuples(*[entry] * m).filter(any)))
     return m, a, b, alpha
+
+
+def emit(p):
+    return json.dumps(to_json_dict(p), separators=(",", ":"))
 
 
 def tuple_terms(p):
@@ -264,3 +270,44 @@ def test_accumulator_subtracts_an_unequal_polynomial():
         acc = _Accumulator(a)
         acc.subtract(b)
         assert acc.value() == a - b
+
+
+@st.composite
+def held_at(draw, m, width):
+    """A polynomial whose bound puts it in the `width`-bit layout: terms at
+    ±offset, where the largest |entry| of offset is drawn near either end of
+    that layout's range, and a few terms near 0."""
+    low, high = (1, 2**15 - 1) if width == 16 else (2 ** (width // 2 - 1), 2 ** (width - 1) - 1)
+    top = draw(st.one_of(st.integers(low, low + 2), st.integers(high - 2, high), st.integers(low, high)))
+    j = draw(st.integers(0, m - 1))
+    offset = [draw(st.integers(-top, top)) for _ in range(m)]
+    offset[j] = draw(st.sampled_from((top, -top)))
+    coefficient = st.integers(-4, 4).filter(bool)
+    terms = {tuple(offset): draw(coefficient), tuple(-x for x in offset): draw(coefficient)}
+    for _ in range(draw(st.integers(0, 3))):
+        terms[draw(st.tuples(*[st.integers(-2, 2)] * m))] = draw(coefficient)
+    return LaurentPolynomial(m, terms)
+
+
+@pytest.mark.parametrize("widths", list(permutations((16, 32, 64))))
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_accumulator_lays_out_three_operands_of_every_width(widths, data):
+    """acc += sign·h·b and acc -= p with the accumulator, h and b held at 16,
+    32 and 64 bits in each order; a product whose bound reaches the widest
+    operand's bias must move to a wider layout."""
+    m = data.draw(st.integers(1, 3))
+    start, h, b = (data.draw(held_at(m, width)) for width in widths)
+    assert [p._layout.width for p in (start, h, b)] == list(widths)
+    S, H, B = map(tuple_terms, (start, h, b))
+    sign = data.draw(st.sampled_from((1, -1)))
+    acc = _Accumulator(start)
+    acc.add_product(h, b, sign)
+    expected = oracle.add(S, oracle.mul(H, B), sign)
+    assert tuple_terms(acc.value()) == expected
+    acc.subtract(h)
+    assert tuple_terms(acc.value()) == oracle.add(expected, H, -1)
+    acc = _Accumulator(start)
+    acc.subtract(h)
+    acc.subtract(b)
+    assert tuple_terms(acc.value()) == oracle.add(oracle.add(S, H, -1), B, -1)

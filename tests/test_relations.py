@@ -13,7 +13,6 @@ from kquadric.relations import (
     ALL_KINDS,
     CheckRecord,
     ClassProvider,
-    RelationReport,
     RelationStream,
     check_antipodal_product,
     check_complete_set_split,
@@ -24,7 +23,6 @@ from kquadric.relations import (
     random_empty_intersection_family,
     spare_pole_pair,
     support_index_sets,
-    verify_all,
 )
 
 
@@ -131,23 +129,23 @@ def test_zero_sets_agree_with_expanded_products(n, corruption):
 def test_verify_all_decides_product_vanishing_as_the_checked_function(n, corruption):
     ctx = QuadricGraph(n)
     provider = corrupted_provider(ctx, corruption)
-    report = verify_all(ctx, random_family_count=30, seed=4, kinds=("product_vanishing",), provider=provider)
+    records = list(iter_checks(ctx, random_family_count=30, seed=4, kinds=("product_vanishing",), provider=provider))
     reference = corrupted_provider(ctx, corruption)
-    assert sum(1 for r in report.records if r.params.get("random")) == 30
-    for record in report.records:
+    assert sum(1 for r in records if r.params.get("random")) == 30
+    for record in records:
         family = [frozenset(j) for j in record.params["family"]]
         assert record.passed == check_product_vanishing(ctx, family, reference), record
-    assert report.ok == (corruption == "none")
+    assert all(r.passed for r in records) == (corruption == "none")
 
 
 def test_override_after_a_sweep_drops_cached_supported_classes(q1):
     provider = ClassProvider(q1)
-    assert verify_all(q1, random_family_count=10, seed=3, provider=provider).ok
+    assert all(r.passed for r in iter_checks(q1, random_family_count=10, seed=3, provider=provider))
     fresh = corrupted_provider(q1, "missing_vertex")
     provider.override("M", 1, fresh.monomial(1))
-    report = verify_all(q1, random_family_count=10, seed=3, provider=provider)
-    assert any(r.kind == "product_vanishing" for r in report.failures())
-    assert report == verify_all(q1, random_family_count=10, seed=3, provider=fresh)
+    records = list(iter_checks(q1, random_family_count=10, seed=3, provider=provider))
+    assert any(r.kind == "product_vanishing" for r in records if not r.passed)
+    assert records == list(iter_checks(q1, random_family_count=10, seed=3, provider=fresh))
 
 
 def test_verify_all_decides_every_family_through_check_product_vanishing(monkeypatch):
@@ -159,13 +157,13 @@ def test_verify_all_decides_every_family_through_check_product_vanishing(monkeyp
         return original(*args, **kwargs)
 
     monkeypatch.setattr(relations, "check_product_vanishing", counted)
-    report = verify_all(QuadricGraph(2), seed=3)
-    families = [r for r in report.records if r.kind == "product_vanishing"]
+    records = iter_checks(QuadricGraph(2), seed=3)
+    families = [r for r in records if r.kind == "product_vanishing"]
     assert families and len(calls) == len(families)
 
 
 def oracle_product_vanishing_records(ctx, bound, random_count, seed, provider):
-    """The product-vanishing records of `verify_all`, with frozenset
+    """The product-vanishing records of `iter_checks`, with frozenset
     intersections as the filter and expanded products as the decision.
     Returns (family size, record) pairs."""
     universe = support_index_sets(ctx)
@@ -196,7 +194,7 @@ def test_product_vanishing_sweep_matches_the_oracle(n, corruption):
     randoms = oracle_product_vanishing_records(ctx, 0, 10, 6, corrupted_provider(ctx, corruption))
     assert all(passed for _, (_, _, passed) in oracle) == (corruption == "none")
     for bound in range(5):
-        report = verify_all(
+        records = iter_checks(
             ctx,
             family_size_bound=bound,
             random_family_count=10,
@@ -205,7 +203,7 @@ def test_product_vanishing_sweep_matches_the_oracle(n, corruption):
             provider=corrupted_provider(ctx, corruption),
         )
         expected = [record for size, record in oracle if size <= bound] + [r for _, r in randoms]
-        assert [tuple(r) for r in report.records] == expected, bound
+        assert [tuple(r) for r in records] == expected, bound
 
 
 def test_members_given_as_sets_and_lists(q1):
@@ -382,20 +380,20 @@ def test_generator_values_away_from_antipodes(q2):
     for j in q2.vertices:
         if j in (q2.antipode(1), q2.antipode(2)):
             continue
-        ratio = q2.vertex_character(2) * q2.vertex_character(1) ** -1
+        ratio = monomial(q2.vertex_weight(2)) * monomial(q2.vertex_weight(1)) ** -1
         assert product[j] == ratio
 
 
 # -- the aggregate sweep ---------------------------------------------------------------------
 
 
-def report_json_dict(report):
-    """The oracle of `RelationStream.render`: the report as one JSON document."""
-    passes = report.pass_count
+def report_json_dict(n, records):
+    """The oracle of `RelationStream.render`: the records as one JSON document."""
+    passes = sum(passed for _, _, passed in records)
     return {
-        "n": report.n,
-        "checks": [{"kind": kind, "params": params, "pass": passed} for kind, params, passed in report.records],
-        "summary": {"pass": passes, "fail": len(report.records) - passes},
+        "n": n,
+        "checks": [{"kind": kind, "params": params, "pass": passed} for kind, params, passed in records],
+        "summary": {"pass": passes, "fail": len(records) - passes},
     }
 
 
@@ -406,18 +404,19 @@ def dumped(doc, pretty):
 @pytest.mark.parametrize("n", [1, 2])
 def test_verify_all_passes(n):
     ctx = QuadricGraph(n)
-    report = verify_all(ctx, random_family_count=25, seed=5)
-    assert report.ok
-    assert report.fail_count == 0
-    assert report.pass_count == len(report.records) > 0
-    doc = report_json_dict(report)
-    assert doc["summary"] == {"pass": report.pass_count, "fail": 0}
+    records = list(iter_checks(ctx, random_family_count=25, seed=5))
+    passes = sum(r.passed for r in records)
+    assert all(r.passed for r in records)
+    assert len(records) - passes == 0
+    assert passes == len(records) > 0
+    doc = report_json_dict(n, records)
+    assert doc["summary"] == {"pass": passes, "fail": 0}
     assert doc["n"] == n
 
 
 def test_verify_all_report_shape(q1):
-    report = verify_all(q1, random_family_count=5, seed=1)
-    kinds = {record.kind for record in report.records}
+    records = iter_checks(q1, random_family_count=5, seed=1)
+    kinds = {record.kind for record in records}
     assert kinds == {
         "generator_identity",
         "antipodal_product",
@@ -433,8 +432,8 @@ def test_corrupted_class_is_named_in_failures(q1):
     values = dict(m1.values)
     values[2] = values[2] * -1  # flip one coefficient
     provider.override("M", 1, VertexMap(values))
-    report = verify_all(q1, random_family_count=10, seed=3, provider=provider)
-    failures = report.failures()
+    records = iter_checks(q1, random_family_count=10, seed=3, provider=provider)
+    failures = [r for r in records if not r.passed]
     assert failures
     def mentions_vertex_one(record):
         p = record.params
@@ -472,15 +471,16 @@ RENDER_GRID = [
 def test_rendered_stream_equals_the_dumped_report(n, bound, corruption, kinds):
     ctx = QuadricGraph(n)
     args = (bound, 6, n + bound, kinds)
-    report = verify_all(ctx, *args, corrupted_provider(ctx, corruption))
-    doc = report_json_dict(report)
+    expected = list(iter_checks(ctx, *args, corrupted_provider(ctx, corruption)))
+    doc = report_json_dict(n, expected)
+    passes = sum(r.passed for r in expected)
     for pretty in (False, True):
         streamed = []
         records = iter_checks(ctx, *args, corrupted_provider(ctx, corruption))
         stream = RelationStream(n, (streamed.append(r) or r for r in records))
         assert stream.render(pretty) == dumped(doc, pretty), pretty
-        assert streamed == list(report.records)
-        assert (stream.pass_count, stream.fail_count) == (report.pass_count, report.fail_count)
+        assert streamed == expected
+        assert (stream.pass_count, stream.fail_count) == (passes, len(expected) - passes)
 
 
 @pytest.mark.parametrize("pretty", [False, True])
@@ -495,9 +495,9 @@ def test_render_encodes_other_params_and_repeated_member_lists(pretty):
         ("peeling", {"members": [], "i": "x\ny"}, True),
         ("other", {}, False),
     ]
-    report = RelationReport(7, tuple(CheckRecord(*record) for record in records))
-    stream = RelationStream(7, iter(report.records))
-    assert stream.render(pretty) == dumped(report_json_dict(report), pretty)
+    records = [CheckRecord(*record) for record in records]
+    stream = RelationStream(7, iter(records))
+    assert stream.render(pretty) == dumped(report_json_dict(7, records), pretty)
     assert (stream.pass_count, stream.fail_count) == (4, 3)
     empty = RelationStream(0, iter(()))
-    assert empty.render(pretty) == dumped(report_json_dict(RelationReport(0, ())), pretty)
+    assert empty.render(pretty) == dumped(report_json_dict(0, []), pretty)
