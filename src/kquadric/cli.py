@@ -68,7 +68,6 @@ def _from_input(build, *args, **kwargs):
 # 1.6 and 0.8 s for n = 1..8, measured on a 2-core machine with Python 3.11.
 MAX_N = 8
 MAX_EXPONENT_BY_N = {1: 256, 2: 64, 3: 26, 4: 19, 5: 16, 6: 15, 7: 15, 8: 14}
-MAX_EXPONENT = MAX_EXPONENT_BY_N[1]
 MAX_FAMILY_BOUND = 4
 MAX_TRIALS = 10_000
 

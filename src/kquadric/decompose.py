@@ -30,11 +30,14 @@ first moves v to frame k-1 when the product would have more term pairs than
 the residual has terms.  At frame k-1 every cofactor of the canonical basis
 is 1 or one binomial (a test checks this for n = 1..5), and at v = k it is 1:
 dividing vertex k up to frame k-1 gives h_k itself, and no diagonal product
-is built.  The cofactors are tabulated once per basis object.  A division
-that fails before a vertex's stage is reported at that stage, with the same
-message: the residual keeps its class modulo D_j(v) through every later
-stage, and D_j(v) divides D_{v-1}(v).  `recompose` sums h_k * B_k(v) into one
-accumulator per vertex.
+is built.  The cofactors are tabulated once per basis object.  The first
+division that fails, at a stage or in an early frame move, ends the call at
+the least k with a failing edge from k down to a lower neighbour: after the
+stages below k the residual is f minus a K-class and vanishes below k, and
+the binomials of the edges from k down are pairwise coprime in the UFD
+Z[y^±1] (their weights are pairwise independent), so stage k divides exactly
+when f passes the tests of those edges.  `recompose` sums h_k * B_k(v) into
+one accumulator per vertex.
 """
 from __future__ import annotations
 
@@ -196,9 +199,10 @@ def decompose(ctx: QuadricGraph, f: VertexMap, basis: CanonicalBasis | None = No
     frames" above).  Raises NotAKClassError (naming the stage and the failing
     edges) when a division fails; that happens precisely for non-K-classes.
     Raises RuntimeError, naming the next stage, if a stage with h_k != 0
-    would break the triangular invariant (possible only for a caller-supplied
-    basis that is not the canonical one).  Without `basis`, the canonical
-    basis of `ctx.n` is built once and reused.
+    would break the triangular invariant, or naming the stage and saying the
+    basis is not flow-up if a division fails on a K-class (both possible
+    only for a caller-supplied basis that is not the canonical one).
+    Without `basis`, the canonical basis of `ctx.n` is built once and reused.
     """
     if f.vertices() != tuple(ctx.vertices):
         raise ValueError("vertex map does not cover exactly the graph's vertices")
@@ -209,42 +213,36 @@ def decompose(ctx: QuadricGraph, f: VertexMap, basis: CanonicalBasis | None = No
     factors = basis.diagonal_factors
     residual = {v: _Accumulator(f[v]) for v in ctx.vertices}
     frame = dict.fromkeys(ctx.vertices, 0)
-    failed: dict[int, NonDivisibleError] = {}  # vertex -> its early failed division
     coefficients = []
-    for k, stage in enumerate(basis._stages, start=1):
-        try:
-            if k in failed:
-                raise failed[k]
+    try:
+        for k, stage in enumerate(basis._stages, start=1):
             h_k = div_exact_product(residual.pop(k).value(), factors[k - 1][frame[k]:])
-        except NonDivisibleError as exc:
-            report = is_k_class(ctx.graph, f)
-            raise NotAKClassError(
-                f"not a K-class: exact division failed at stage {k} "
-                f"(failing edges: {list(report.failing_edges)})",
-                stage=k,
-                failing_edges=report.failing_edges,
-            ) from exc
-        coefficients.append(h_k)
-        if h_k.is_zero():
-            continue
-        if not stage.valid:
-            if k < ctx.vertex_count:
-                raise RuntimeError(f"residual not triangular at stage {k + 1}")
-            raise RuntimeError(f"nonzero terminal remainder after stage {k}")
-        size = h_k.term_count()
-        for v, target, cofactors in stage.updates:
-            if v in failed:
+            coefficients.append(h_k)
+            if h_k.is_zero():
                 continue
-            acc, j = residual[v], frame[v]
-            if j < target and size * cofactors[j].term_count() > acc.term_count():
-                try:
-                    acc = _Accumulator(div_exact_product(acc.value(), factors[v - 1][j:target]))
-                except NonDivisibleError as exc:
-                    failed[v] = exc
-                    continue
-                residual[v], frame[v], j = acc, target, target
-            cofactor = cofactors[j]
-            acc.subtract(h_k if cofactor.is_one() else h_k * cofactor)
+            if not stage.valid:
+                if k < ctx.vertex_count:
+                    raise RuntimeError(f"residual not triangular at stage {k + 1}")
+                raise RuntimeError(f"nonzero terminal remainder after stage {k}")
+            size = h_k.term_count()
+            for v, target, cofactors in stage.updates:
+                acc, j = residual[v], frame[v]
+                if j < target and size * cofactors[j].term_count() > acc.term_count():
+                    acc = residual[v] = _Accumulator(div_exact_product(acc.value(), factors[v - 1][j:target]))
+                    frame[v] = j = target
+                cofactor = cofactors[j]
+                acc.subtract(h_k if cofactor.is_one() else h_k * cofactor)
+    except NonDivisibleError as exc:
+        report = is_k_class(ctx.graph, f)
+        if report.ok:
+            raise RuntimeError(f"exact division failed at stage {k} on a K-class: the basis is not flow-up") from exc
+        first = min(max(edge) for edge in report.failing_edges)
+        raise NotAKClassError(
+            f"not a K-class: exact division failed at stage {first} "
+            f"(failing edges: {list(report.failing_edges)})",
+            stage=first,
+            failing_edges=report.failing_edges,
+        ) from exc
     return Decomposition(tuple(coefficients))
 
 

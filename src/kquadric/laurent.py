@@ -378,9 +378,6 @@ class _Accumulator:
         self._layout = p._layout
         self._bound = p._bound
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def _fit(self, other: _Layout, bound: int) -> _Layout:
         """Hold the terms in the common layout of theirs and `other` for a sum
         bounded by `bound`, and return it."""

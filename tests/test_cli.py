@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import kquadric.cli as cli_module
-from kquadric.cli import MAX_EXPONENT, MAX_EXPONENT_BY_N, MAX_FAMILY_BOUND, MAX_N, MAX_TRIALS, main
+from kquadric.cli import MAX_EXPONENT_BY_N, MAX_FAMILY_BOUND, MAX_N, MAX_TRIALS, main
 from kquadric.gkm import VertexMap
 from kquadric.laurent import one, zero
 from kquadric.quadric import (
@@ -415,11 +415,12 @@ def m1_power_file(tmp_path, power, n=1):
 
 
 def test_decompose_at_the_exponent_bound_is_accepted(tmp_path, capsys):
-    path = m1_power_file(tmp_path, MAX_EXPONENT)
+    bound = MAX_EXPONENT_BY_N[1]
+    path = m1_power_file(tmp_path, bound)
     code, out, err = run(capsys, "decompose", "--n", "1", "--in", str(path))
     assert code == 0 and err == ""
     largest = max(len(c["terms"]) for c in json.loads(out)["coeffs"])
-    assert largest == MAX_EXPONENT * (MAX_EXPONENT - 1)
+    assert largest == bound * (bound - 1)
 
 
 def test_decompose_past_the_exponent_bound_is_refused(tmp_path, capsys, monkeypatch):
@@ -427,15 +428,16 @@ def test_decompose_past_the_exponent_bound_is_refused(tmp_path, capsys, monkeypa
         raise AssertionError("a refused input was decomposed")
 
     monkeypatch.setattr(cli_module, "decompose", no_decompose)
-    path = m1_power_file(tmp_path, MAX_EXPONENT + 1)
+    bound = MAX_EXPONENT_BY_N[1]
+    path = m1_power_file(tmp_path, bound + 1)
     code, out, err = run(capsys, "decompose", "--n", "1", "--in", str(path))
     assert code == 2
     assert out == ""
-    assert err == f"error: {path}: exponent {MAX_EXPONENT + 1} exceeds the supported maximum {MAX_EXPONENT}\n"
+    assert err == f"error: {path}: exponent {bound + 1} exceeds the supported maximum {bound}\n"
 
 
 def test_exponent_bound_shrinks_with_n():
-    assert MAX_EXPONENT == MAX_EXPONENT_BY_N[1] == 256
+    assert MAX_EXPONENT_BY_N[1] == 256
     assert sorted(MAX_EXPONENT_BY_N) == list(range(1, MAX_N + 1))
     bounds = list(MAX_EXPONENT_BY_N.values())
     assert bounds == sorted(bounds, reverse=True)

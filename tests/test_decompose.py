@@ -195,13 +195,30 @@ def test_decompose_fails_exactly_when_is_k_class_fails(n, seed, data):
 
 
 def test_broken_basis_raises_under_optimize():
-    # The triangular invariant must hold under `python -O`, which strips asserts.
+    # The triangular invariant and the flow-up condition must hold under
+    # `python -O`, which strips asserts.
     script = """
 from dataclasses import replace
 from kquadric import QuadricGraph, canonical_basis, decompose, monomial_class
+from kquadric.gkm import VertexMap
+from kquadric.laurent import one
+
+def attempt(ctx, f, basis):
+    try:
+        decompose(ctx, f, basis)
+    except RuntimeError as exc:
+        print(exc)
+
 ctx = QuadricGraph(2)
-basis = replace(canonical_basis(ctx), diagonal_factors=((),) * ctx.vertex_count)
-decompose(ctx, monomial_class(ctx, 1), basis)
+attempt(ctx, monomial_class(ctx, 1), replace(canonical_basis(ctx), diagonal_factors=((),) * ctx.vertex_count))
+# B_2 with 1 added at vertex 4: every stage is valid, but the basis is not
+# flow-up, so dividing the K-class B_2 fails.
+ctx = QuadricGraph(1)
+basis = canonical_basis(ctx)
+b_2 = basis.classes[1]
+broken = replace(basis, classes=(basis.classes[0], VertexMap({**b_2.values, 4: b_2[4] + one(ctx.m)})) + basis.classes[2:])
+print(all(stage.valid for stage in broken._stages))
+attempt(ctx, b_2, broken)
 """
     src = str(Path(kquadric.__file__).resolve().parents[1])
     result = subprocess.run(
@@ -211,8 +228,12 @@ decompose(ctx, monomial_class(ctx, 1), basis)
         env={**os.environ, "PYTHONPATH": src},
         timeout=60,
     )
-    assert result.returncode == 1
-    assert "RuntimeError: residual not triangular at stage 3" in result.stderr
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "residual not triangular at stage 3\n"
+        "True\n"
+        "exact division failed at stage 4 on a K-class: the basis is not flow-up\n"
+    )
 
 
 def test_decompose_without_basis_builds_it_once(monkeypatch, q2):

@@ -7,11 +7,12 @@ Three kinds of input reach the three paths of the frame rule:
 * random K-classes at n=3, where large coefficients move frames forward
   before the stage;
 * those K-classes changed by ±y^e at one vertex, where a division that moves
-  a frame forward can fail before that vertex's stage.
+  a frame forward can fail before that vertex's stage and end the call.
 
 The outcomes (coefficients, or the NotAKClassError stage, edges and message)
 must match the oracle's.  Line counts from the standard `trace` module show
-which paths ran.
+which paths ran: a frame move whose division raised runs its first line but
+not the line after it.
 """
 import importlib
 import random
@@ -35,8 +36,8 @@ def line_of(text):
     return number
 
 
-ADVANCE = line_of("acc = _Accumulator(div_exact_product(")  # a frame moves before the stage
-EARLY_FAILURE = line_of("failed[v] = exc")
+ADVANCE = line_of("residual[v] = _Accumulator(div_exact_product(")  # a frame moves before the stage
+MOVED = line_of("frame[v] = j = target")  # ... and its division succeeded
 SUBTRACT = line_of("acc.subtract(")
 
 
@@ -54,7 +55,7 @@ def traced_decompose(ctx, f, basis):
     except NotAKClassError as exc:
         outcome = exc
     counts = tracer.results().counts
-    return outcome, {line: counts.get((module.__file__, line), 0) for line in (ADVANCE, EARLY_FAILURE, SUBTRACT)}
+    return outcome, {line: counts.get((module.__file__, line), 0) for line in (ADVANCE, MOVED, SUBTRACT)}
 
 
 def changed(ctx, f, seed):
@@ -107,7 +108,9 @@ def test_early_failed_divisions_are_reported_at_the_vertex_stage():
             oracle.decompose(ctx, g, basis)
         assert isinstance(ours, NotAKClassError)
         assert ours.stage == theirs.value.stage
+        assert ours.stage == min(max(e) for e in ours.failing_edges)
         assert ours.failing_edges == theirs.value.failing_edges
         assert str(ours) == str(theirs.value)
-        early += lines[EARLY_FAILURE] > 0
+        assert lines[ADVANCE] - lines[MOVED] in (0, 1)
+        early += lines[ADVANCE] - lines[MOVED]
     assert early > 0

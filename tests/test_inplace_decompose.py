@@ -134,6 +134,7 @@ def test_changed_classes_fail_like_the_oracle(case, data):
     with pytest.raises(NotAKClassError) as theirs:
         oracle.decompose(ctx, g, basis)
     assert ours.value.stage == theirs.value.stage
+    assert ours.value.stage == min(max(e) for e in ours.value.failing_edges)
     assert ours.value.failing_edges == theirs.value.failing_edges
     assert str(ours.value) == str(theirs.value)
 

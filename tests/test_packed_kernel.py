@@ -261,7 +261,7 @@ def test_accumulator_subtracts_an_equal_polynomial_held_wider():
     for start, equal in ((p, wide), (wide, p)):
         acc = _Accumulator(start)
         acc.subtract(equal)
-        assert acc.is_zero() and acc.value().is_zero()
+        assert acc.term_count() == 0 and acc.value().is_zero()
 
 
 def test_accumulator_subtracts_an_unequal_polynomial():
