@@ -5,12 +5,13 @@ stderr.  Exit status 0 means success / all checks passed, 1 means a
 verification failed or a check came out negative, 2 means a usage or I/O
 error; an internal fault is not a usage error and ends in a traceback.
 Output is byte-identical for identical flags and seed; --pretty only adds
-whitespace.  A request outside a stated bound (--n and --max-n at most
-`MAX_N`, --max-n and --trials at least 1, --family-bound from 0 to
-`MAX_FAMILY_BOUND`, --trials at most `MAX_TRIALS`) is refused with exit
-status 2 before any graph is built; a `decompose` input with an exponent of
-absolute value above `MAX_EXPONENT_BY_N[n]` is refused with exit status 2
-before it is decomposed.
+whitespace.  A request outside a stated bound (--n at most `MAX_N`; for
+`verify`, --n an n of `MAX_FAMILY_BOUND_BY_N` and --family-bound from 0 to
+its entry; --max-n from 1 to `MAX_SELFCHECK_N`; --trials from 1 to
+`MAX_TRIALS`) is refused with exit status 2 before any graph is built; a
+`decompose` input with an exponent of absolute value above
+`MAX_EXPONENT_BY_N[n]` is refused with exit status 2 before it is
+decomposed.
 """
 from __future__ import annotations
 
@@ -57,35 +58,47 @@ def _from_input(build, *args, **kwargs):
 
 
 # Stated upper bounds.  At n = 8 a Thom class value already has up to 2^16
-# terms per vertex; at n = 3 a family bound of 4 enumerates 2.4 million
-# candidate families, and each one with an empty intersection is checked and
-# rendered into the output, which is built whole before it is written.  A
-# coefficient of a decomposed class grows polynomially in its largest
-# exponent N, faster at larger n: the class M_1^N, a file of a few hundred
-# bytes, has a coefficient of N(N - 1) terms at n = 1, and of 158,906 terms
-# at n = 2, N = 64.  The exponent bound is set per n so that `decompose` of
-# M_1^N at the bound takes about 2 s at most: 0.6, 2.1, 1.9, 2.0, 1.5, 1.2,
-# 1.6 and 0.8 s for n = 1..8, measured on a 2-core machine with Python 3.11.
+# terms per vertex.  A coefficient of a decomposed class grows polynomially
+# in its largest exponent N, faster at larger n: the class M_1^N, a file of a
+# few hundred bytes, has a coefficient of N(N - 1) terms at n = 1, and of
+# 158,906 terms at n = 2, N = 64.  The exponent bound is set per n so that
+# `decompose` of M_1^N at the bound takes about 2 s at most: 0.6, 2.1, 1.9,
+# 2.0, 1.5, 1.2, 1.6 and 0.8 s for n = 1..8, measured on a 2-core machine
+# with Python 3.11.
+#
+# `verify` with family bound b enumerates the sum over s <= b of
+# C(2n + 1 + 3^(n+1), s) candidate families, and checks and renders each one
+# with an empty intersection into an output built whole before it is
+# written.  The family bound is set per n to the largest b whose `verify`
+# took at most 15 s (median) and 600 MB on the same machine: 0.2, 9.7, 14.7,
+# 13.3, 2.6 and 13.5 s, and at most 515 MB, for n = 1..6; b + 1 took over
+# 15 s for n = 2..6, and b = 12 reaches every family at n = 1.  At n = 7 even
+# b = 0 takes over 25 s, so `verify` has no entry for n = 7 or 8.
+# `selfcheck` sweeps every n up to --max-n at b = 3.
 MAX_N = 8
 MAX_EXPONENT_BY_N = {1: 256, 2: 64, 3: 26, 4: 19, 5: 16, 6: 15, 7: 15, 8: 14}
-MAX_FAMILY_BOUND = 4
+MAX_FAMILY_BOUND_BY_N = {1: 12, 2: 6, 3: 4, 4: 3, 5: 2, 6: 1}
+MAX_SELFCHECK_N = max(n for n, bound in MAX_FAMILY_BOUND_BY_N.items() if bound >= 3)
 MAX_TRIALS = 10_000
 
-# (attribute, flag, least value or None, greatest value).  A --n below 1 is
-# refused by QuadricGraph itself.
-_LIMITS = (
-    ("n", "--n", None, MAX_N),
-    ("max_n", "--max-n", 1, MAX_N),
-    ("family_bound", "--family-bound", 0, MAX_FAMILY_BOUND),
-    ("trials", "--trials", 1, MAX_TRIALS),
-)
+
+def _limits(args):
+    """(flag, value, least value or None, greatest value) for each bounded
+    flag of the command, in checking order.  A --n below 1 is refused by
+    QuadricGraph itself, except by `verify`, which looks its n up in
+    `MAX_FAMILY_BOUND_BY_N` first."""
+    if args.command == "verify":
+        yield "--n", args.n, 1, max(MAX_FAMILY_BOUND_BY_N)
+        yield "--family-bound", args.family_bound, 0, MAX_FAMILY_BOUND_BY_N[args.n]
+    elif args.command == "selfcheck":
+        yield "--max-n", args.max_n, 1, MAX_SELFCHECK_N
+        yield "--trials", args.trials, 1, MAX_TRIALS
+    else:
+        yield "--n", args.n, None, MAX_N
 
 
 def _check_limits(args) -> None:
-    for dest, flag, least, limit in _LIMITS:
-        value = getattr(args, dest, None)
-        if value is None:
-            continue
+    for flag, value, least, limit in _limits(args):
         if least is not None and value < least:
             raise UsageError(f"{flag} must be at least {least}")
         if value > limit:
@@ -292,17 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact K-ring computations on even-dimensional quadric GKM graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     n_help = f"the quadric has complex dimension 2n (at most {MAX_N})"
 
-    p = sub.add_parser("graph", help="emit the labeled graph as JSON")
-    p.add_argument("--n", type=int, required=True, help=n_help)
-    p.add_argument("--out")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=_cmd_graph)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if name != "selfcheck":
+            p.add_argument("--n", type=int, required=True, help=n_help)
+        return p
 
-    p = sub.add_parser("gen", help="emit a generator class (or the whole basis) as JSON")
-    p.add_argument("--n", type=int, required=True, help=n_help)
+    p = command("graph", _cmd_graph, "emit the labeled graph as JSON")
+    p.add_argument("--out")
+
+    p = command("gen", _cmd_gen, "emit a generator class (or the whole basis) as JSON")
     p.add_argument(
         "--class",
         dest="cls",
@@ -312,44 +327,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex", type=int)
     p.add_argument("--subset", help="comma-separated vertex list, e.g. 2,4,6")
     p.add_argument("--out")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("check", help="test whether a vertex map file is a K-class")
-    p.add_argument("--n", type=int, required=True, help=n_help)
+    p = command("check", _cmd_check, "test whether a vertex map file is a K-class")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("verify", help="run the relation suite")
-    p.add_argument("--n", type=int, required=True, help=n_help)
+    p = command("verify", _cmd_verify, "run the relation suite")
     p.add_argument("--relations", choices=["all", "1", "2", "3", "4"], default="all")
-    p.add_argument(
-        "--family-bound",
-        type=int,
-        default=3,
-        help=f"largest exhaustive product-vanishing family (0 to {MAX_FAMILY_BOUND})",
-    )
+    bounds = ", ".join(map(str, MAX_FAMILY_BOUND_BY_N.values()))
+    family_help = f"largest exhaustive product-vanishing family, 0 to {bounds} for n = 1..{max(MAX_FAMILY_BOUND_BY_N)}"
+    p.add_argument("--family-bound", type=int, default=3, help=family_help)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("decompose", help="decompose a K-class file over the canonical basis")
-    p.add_argument("--n", type=int, required=True, help=n_help)
+    p = command("decompose", _cmd_decompose, "decompose a K-class file over the canonical basis")
     bounds = ", ".join(map(str, MAX_EXPONENT_BY_N.values()))
     in_help = f"a K-class JSON file, every |exponent| at most {bounds} for n = 1..{MAX_N}"
     p.add_argument("--in", dest="infile", required=True, help=in_help)
     p.add_argument("--out")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("selfcheck", help="run the full verification battery for n = 1..max-n")
-    p.add_argument("--max-n", dest="max_n", type=int, required=True, help=f"1 to {MAX_N}")
+    p = command("selfcheck", _cmd_selfcheck, "run the full verification battery for n = 1..max-n")
+    p.add_argument("--max-n", dest="max_n", type=int, required=True, help=f"1 to {MAX_SELFCHECK_N}")
     p.add_argument("--trials", type=int, default=25, help=f"1 to {MAX_TRIALS}")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=_cmd_selfcheck)
 
+    for p in sub.choices.values():
+        p.add_argument("--pretty", action="store_true")
     return parser
 
 

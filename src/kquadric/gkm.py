@@ -50,9 +50,9 @@ class GkmGraph:
     __slots__ = ("m", "vertex_count", "_axial", "_stars", "_divisors")
 
     def __init__(self, m: int, vertex_count: int, axial: Mapping[Edge, Iterable[int]]):
-        if not isinstance(m, int) or m < 1:
+        if type(m) is not int or m < 1:
             raise ValueError(f"lattice rank must be a positive int, got {m!r}")
-        if not isinstance(vertex_count, int) or vertex_count < 1:
+        if type(vertex_count) is not int or vertex_count < 1:
             raise ValueError(f"vertex count must be a positive int, got {vertex_count!r}")
         weights: dict[Edge, tuple[int, ...]] = {}
         for (i, j), w in axial.items():
@@ -264,11 +264,12 @@ def derive_connection(graph: GkmGraph) -> Connection:
     Partners are found by coset key, not by testing every pair of edges: each
     weight w is keyed by its representative w - t*weight(e) modulo
     Z*weight(e), with t = w_j // weight(e)_j at the first nonzero coordinate j
-    of weight(e), as in `laurent._line_sums`.  Adding weight(e) to w adds
-    exactly 1 to t, whatever the signs and even for a non-primitive weight,
-    so two weights share a key iff their difference is an integer multiple
-    of weight(e), and the multiple (the witness) is the difference of their
-    t's.  Looking up each edge at p among the keyed edges at q therefore
+    of weight(e).  `laurent._line_sums` keys its lines in the same form but
+    not with the same pivot: it takes the first j of largest |alpha_j|.
+    Adding weight(e) to w adds exactly 1 to t, whatever the signs and even
+    for a non-primitive weight, so two weights share a key iff their
+    difference is an integer multiple of weight(e), and the multiple (the
+    witness) is the difference of their t's.  Looking up each edge at p among the keyed edges at q therefore
     finds exactly the partners a test of every pair finds, in star order.
     A zero weight(e) keys each weight by itself: only equal weights match.
     """

@@ -154,7 +154,7 @@ class LaurentPolynomial:
     __slots__ = ("m", "_terms", "_layout", "_bound")
 
     def __init__(self, m: int, terms: Mapping[Exponent, int] | Iterable[tuple[Exponent, int]] = ()):
-        if not isinstance(m, int) or m < 1:
+        if type(m) is not int or m < 1:
             raise ValueError(f"variable count must be a positive int, got {m!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
         collected: dict[Exponent, int] = {}

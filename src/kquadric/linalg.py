@@ -9,50 +9,43 @@ from itertools import combinations
 from math import gcd
 
 
-def integer_rank(rows) -> int:
-    """Rank over the rationals of an integer matrix, by fraction-free elimination."""
+def _echelon(rows) -> tuple[list[int], int]:
+    """Bareiss fraction-free row echelon form of an integer matrix: its pivots
+    in order, and the sign of the row swaps made.  Every division is exact,
+    and after r pivots the last one is the r x r minor on the pivot rows and
+    columns, so at full rank a square matrix's determinant is sign * last."""
     mat = [list(row) for row in rows]
-    if not mat:
-        return 0
-    n_cols = len(mat[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
+    pivots = []
+    sign = prev = 1
+    for col in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        below = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if below is None:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pivot_val = mat[rank][col]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [pivot_val * x - factor * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+        if below != r:
+            mat[r], mat[below] = mat[below], mat[r]
+            sign = -sign
+        pivot = mat[r][col]
+        for i in range(r + 1, len(mat)):
+            factor = mat[i][col]
+            mat[i] = [(pivot * x - factor * y) // prev for x, y in zip(mat[i], mat[r])]
+        pivots.append(pivot)
+        prev = pivot
+    return pivots, sign
+
+
+def integer_rank(rows) -> int:
+    """Rank over the rationals of an integer matrix."""
+    return len(_echelon(rows)[0])
 
 
 def det(rows) -> int:
-    """Determinant of a square integer matrix (Bareiss fraction-free algorithm)."""
-    mat = [list(row) for row in rows]
-    n = len(mat)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if mat[i][k]), None)
-            if pivot is None:
-                return 0
-            mat[k], mat[pivot] = mat[pivot], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[-1][-1]
+    """Determinant of a square integer matrix; 1 for the empty matrix."""
+    rows = list(rows)
+    pivots, sign = _echelon(rows)
+    if len(pivots) < len(rows):
+        return 0
+    return sign * pivots[-1] if pivots else 1
 
 
 def spans_full_lattice(rows, m: int) -> bool:

@@ -13,8 +13,8 @@ assembled:
 
 * the monomial class at v: value 1 at v, the monomial
   y_n * y_{n+1}^-1 * f(antipode(v))^-2 at the antipode, and f(v)*f(l)^-1
-  elsewhere (all values are unit monomials, so the class has a pointwise
-  inverse);
+  = y^alpha(l, v) elsewhere (all values are unit monomials, so the class
+  has a pointwise inverse);
 * the Thom class of an admissible set P (one containing no antipodal pair):
   supported on P, with value prod(1 - f(k)*f(l)^-1) at l in P, the product
   running over the vertices k outside P other than antipode(l).  Those k
@@ -64,7 +64,7 @@ class QuadricGraph:
     __slots__ = ("n", "m", "vertex_count", "graph", "connection", "_weights", "_zero", "_exit_products", "_exit_keys")
 
     def __init__(self, n: int):
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError(f"n must be a positive int, got {n!r}")
         m = n + 1
         vertex_count = 2 * n + 2
@@ -179,6 +179,14 @@ def _antipodal_exponent(ctx: QuadricGraph, k: int) -> Weight:
     return tuple(e)
 
 
+def _vertex_mask(vertices: Iterable[int]) -> int:
+    """The vertices as a bitmask, bit v - 1 for vertex v."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << (v - 1)
+    return mask
+
+
 def monomial_class(ctx: QuadricGraph, v: int, inverted: bool = False) -> VertexMap:
     """The monomial-valued generator class attached to vertex v (or its inverse).
 
@@ -188,7 +196,6 @@ def monomial_class(ctx: QuadricGraph, v: int, inverted: bool = False) -> VertexM
     if not 1 <= v <= ctx.vertex_count:
         raise ValueError(f"vertex {v} out of range 1..{ctx.vertex_count}")
     v_bar = ctx.antipode(v)
-    h_v = ctx.vertex_weight(v)
     values = {}
     for l in ctx.vertices:
         if l == v:
@@ -196,7 +203,7 @@ def monomial_class(ctx: QuadricGraph, v: int, inverted: bool = False) -> VertexM
         elif l == v_bar:
             exponent = _antipodal_exponent(ctx, v_bar)
         else:
-            exponent = tuple(a - b for a, b in zip(h_v, ctx.vertex_weight(l)))
+            exponent = ctx.graph.axial(l, v)
         if inverted:
             exponent = tuple(-x for x in exponent)
         values[l] = monomial(exponent)
@@ -215,9 +222,7 @@ def thom_class(ctx: QuadricGraph, members: Iterable[int]) -> VertexMap:
     members = frozenset(members)
     if not ctx.is_admissible(members):
         raise ValueError(f"{sorted(members)} is empty, out of range, or contains an antipodal pair")
-    outside = (1 << ctx.vertex_count) - 1
-    for l in members:
-        outside ^= 1 << (l - 1)
+    outside = ((1 << ctx.vertex_count) - 1) ^ _vertex_mask(members)
     values = {}
     for l in ctx.vertices:
         if l in members:

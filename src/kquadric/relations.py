@@ -41,6 +41,7 @@ from .gkm import VertexMap
 from .laurent import monomial, one
 from .quadric import (
     QuadricGraph,
+    _vertex_mask,
     antipodal_product_class,
     monomial_class,
     thom_class,
@@ -110,14 +111,6 @@ class ClassProvider:
             zeros = (v for v in self.ctx.vertices if vm[v].is_zero())
             entry = self._masks[members] = (_vertex_mask(members), _vertex_mask(zeros))
         return entry
-
-
-def _vertex_mask(vertices) -> int:
-    """The vertices as a bitmask, bit v - 1 for vertex v."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << (v - 1)
-    return mask
 
 
 def _provider(ctx: QuadricGraph, provider: ClassProvider | None) -> ClassProvider:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import kquadric.cli as cli_module
-from kquadric.cli import MAX_EXPONENT_BY_N, MAX_FAMILY_BOUND, MAX_N, MAX_TRIALS, main
+from kquadric.cli import MAX_EXPONENT_BY_N, MAX_FAMILY_BOUND_BY_N, MAX_N, MAX_SELFCHECK_N, MAX_TRIALS, main
 from kquadric.gkm import VertexMap
 from kquadric.laurent import one, zero
 from kquadric.quadric import (
@@ -264,9 +264,10 @@ def test_selfcheck_reports_failure(capsys, monkeypatch):
     "argv, flag",
     [
         (["graph", "--n", str(MAX_N + 1)], "--n"),
-        (["verify", "--n", "1", "--family-bound", str(MAX_FAMILY_BOUND + 1)], "--family-bound"),
-        (["selfcheck", "--max-n", str(MAX_N + 1)], "--max-n"),
+        (["verify", "--n", "1", "--family-bound", str(MAX_FAMILY_BOUND_BY_N[1] + 1)], "--family-bound"),
+        (["selfcheck", "--max-n", str(MAX_SELFCHECK_N + 1)], "--max-n"),
         (["selfcheck", "--max-n", "1", "--trials", str(MAX_TRIALS + 1)], "--trials"),
+        (["verify", "--n", "4", "--family-bound", "4"], "--family-bound"),
     ],
 )
 def test_oversized_requests_are_refused_before_any_graph_is_built(capsys, monkeypatch, argv, flag):
@@ -286,6 +287,7 @@ def test_oversized_requests_are_refused_before_any_graph_is_built(capsys, monkey
         (["verify", "--n", "1", "--family-bound", "-1"], "--family-bound", 0),
         (["selfcheck", "--max-n", "1", "--trials", "0"], "--trials", 1),
         (["selfcheck", "--max-n", "0"], "--max-n", 1),
+        (["verify", "--n", "0"], "--n", 1),
     ],
 )
 def test_undersized_requests_are_refused_before_any_graph_is_built(capsys, monkeypatch, argv, flag, least):
@@ -299,6 +301,26 @@ def test_undersized_requests_are_refused_before_any_graph_is_built(capsys, monke
     assert err == f"error: {flag} must be at least {least}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--n", "6"], "--family-bound 3 exceeds the supported maximum 1"),  # the default bound
+        (["verify", "--n", "8", "--family-bound", "0"], "--n 8 exceeds the supported maximum 6"),  # no entry
+    ],
+)
+def test_verify_past_its_per_n_bounds_is_refused_before_any_graph_is_built(
+    capsys, monkeypatch, argv, message
+):
+    def no_graph(n):
+        raise AssertionError("a graph was built for a refused request")
+
+    monkeypatch.setattr(cli_module, "QuadricGraph", no_graph)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_unwritable_out_path_is_an_io_error(tmp_path, capsys):
     path = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "graph", "--n", "1", "--out", str(path))
@@ -310,7 +332,7 @@ def test_unwritable_out_path_is_an_io_error(tmp_path, capsys):
 
 def test_requests_at_the_bounds_are_accepted(capsys):
     assert run(capsys, "graph", "--n", str(MAX_N))[0] == 0
-    code, out, _ = run(capsys, "verify", "--n", "1", "--family-bound", str(MAX_FAMILY_BOUND))
+    code, out, _ = run(capsys, "verify", "--n", "1", "--family-bound", str(MAX_FAMILY_BOUND_BY_N[1]))
     assert code == 0 and json.loads(out)["summary"]["fail"] == 0
 
 

@@ -46,6 +46,18 @@ def test_graph_rejects_loops_and_range():
         GkmGraph(1, 2, {(1, 3): (1,), (3, 1): (-1,)})
 
 
+@pytest.mark.parametrize(
+    "m, vertex_count, message",
+    [
+        (True, 2, "lattice rank must be a positive int, got True"),
+        (1, True, "vertex count must be a positive int, got True"),
+    ],
+)
+def test_graph_rejects_bool_counts(m, vertex_count, message):
+    with pytest.raises(ValueError, match=message):
+        GkmGraph(m, vertex_count, {})
+
+
 def test_graph_json_round_trip(q2):
     doc = q2.graph.to_json_dict()
     assert len(doc["edges"]) == 6 * 4  # each ordered edge listed once per direction

@@ -94,6 +94,12 @@ def test_dimension_mismatch_raises():
         LaurentPolynomial(2, {(1, 2, 3): 1})
 
 
+def test_bool_is_not_a_variable_count():
+    # A bool m would be written as "m": true, which from_json_dict refuses.
+    with pytest.raises(ValueError, match="variable count must be a positive int, got True"):
+        LaurentPolynomial(True, {(1,): 2})
+
+
 # -- ring operations -----------------------------------------------------------
 
 

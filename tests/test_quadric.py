@@ -24,6 +24,12 @@ def test_build_rejects_bad_n():
         QuadricGraph(-3)
 
 
+def test_build_rejects_bool_n():
+    # QuadricGraph(True) would write "n": true, which vertex_map_from_json_dict refuses.
+    with pytest.raises(ValueError, match="n must be a positive int, got True"):
+        QuadricGraph(True)
+
+
 def test_vertex_and_edge_structure(q2):
     assert list(q2.vertices) == [1, 2, 3, 4, 5, 6]
     for i in q2.vertices:
