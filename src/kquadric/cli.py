@@ -136,6 +136,8 @@ def _load_vertex_map(ctx: QuadricGraph, path: str):
         raise UsageError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: malformed JSON: {exc}") from None
+    except RecursionError:
+        raise UsageError(f"{path}: JSON nested too deeply") from None
     except ValueError as exc:  # bytes that are not UTF-8, or an int literal too long to convert
         raise UsageError(str(exc)) from None
     try:
@@ -160,26 +162,20 @@ def _cmd_graph(args) -> int:
 def _cmd_gen(args) -> int:
     ctx = _from_input(QuadricGraph, args.n)
     kind = args.cls
+    if kind == "basis":
+        _write([vertex_map_to_json_dict(ctx, b) for b in canonical_basis(ctx).classes], args)
+        return 0
     if kind in ("M", "Minv"):
         if args.vertex is None:
             raise UsageError(f"--class {kind} requires --vertex")
         vm = _from_input(monomial_class, ctx, args.vertex, inverted=(kind == "Minv"))
-    elif kind == "Delta":
+    elif kind in ("Delta", "F"):
         if args.subset is None:
-            raise UsageError("--class Delta requires --subset")
-        vm = _from_input(thom_class, ctx, _parse_subset(args.subset))
-    elif kind == "F":
-        if args.subset is None:
-            raise UsageError("--class F requires --subset")
-        vm = _from_input(ClassProvider(ctx).supported, _parse_subset(args.subset))
-    elif kind == "X":
+            raise UsageError(f"--class {kind} requires --subset")
+        provider = ClassProvider(ctx)
+        vm = _from_input(provider.thom if kind == "Delta" else provider.supported, _parse_subset(args.subset))
+    else:  # argparse allows only "X" here
         vm = antipodal_product_class(ctx)
-    elif kind == "basis":
-        basis = canonical_basis(ctx)
-        _write([vertex_map_to_json_dict(ctx, b) for b in basis.classes], args)
-        return 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown class kind {kind!r}")
     _write(vertex_map_to_json_dict(ctx, vm), args)
     return 0
 
@@ -332,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
 
     p = command("verify", _cmd_verify, "run the relation suite")
-    p.add_argument("--relations", choices=["all", "1", "2", "3", "4"], default="all")
+    p.add_argument("--relations", choices=list(_RELATION_FLAG_TO_KINDS), default="all")
     bounds = ", ".join(map(str, MAX_FAMILY_BOUND_BY_N.values()))
     family_help = f"largest exhaustive product-vanishing family, 0 to {bounds} for n = 1..{max(MAX_FAMILY_BOUND_BY_N)}"
     p.add_argument("--family-bound", type=int, default=3, help=family_help)

@@ -170,6 +170,9 @@ class Decomposition:
     def to_json_dict(self, ctx: QuadricGraph) -> dict:
         if len(self.coefficients) != ctx.vertex_count:
             raise ValueError("coefficient count does not match the context")
+        for c in self.coefficients:
+            if c.m != ctx.m:
+                raise ValueError(f"coefficient has {c.m} variables, expected {ctx.m}")
         return {"n": ctx.n, "coeffs": [to_json_dict(c) for c in self.coefficients]}
 
     @classmethod
@@ -204,10 +207,7 @@ def decompose(ctx: QuadricGraph, f: VertexMap, basis: CanonicalBasis | None = No
     only for a caller-supplied basis that is not the canonical one).
     Without `basis`, the canonical basis of `ctx.n` is built once and reused.
     """
-    if f.vertices() != tuple(ctx.vertices):
-        raise ValueError("vertex map does not cover exactly the graph's vertices")
-    if f.m != ctx.m:
-        raise ValueError(f"vertex map has {f.m} variables, expected {ctx.m}")
+    f._check_shape(ctx.vertices, ctx.m)
     if basis is None:
         basis = _shared_basis(ctx.n)
     factors = basis.diagonal_factors

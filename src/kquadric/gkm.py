@@ -152,6 +152,13 @@ class VertexMap:
     def __getitem__(self, v: int) -> LaurentPolynomial:
         return self.values[v]
 
+    def _check_shape(self, vertices: Iterable[int], m: int) -> None:
+        """Refuse a map not on exactly `vertices`, or with values not in `m` variables."""
+        if self.vertices() != tuple(vertices):
+            raise ValueError("vertex map does not cover exactly the graph's vertices")
+        if self.m != m:
+            raise ValueError(f"vertex map has {self.m} variables, expected {m}")
+
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.values.values())
 
@@ -419,10 +426,7 @@ def is_k_class(graph: GkmGraph, vm: VertexMap) -> KClassReport:
     1 - y^weight(i, j); divisibility is orientation-independent because the
     two binomials differ by a unit.  All failing edges are reported.
     """
-    if vm.vertices() != tuple(graph.vertices):
-        raise ValueError("vertex map does not cover exactly the graph's vertices")
-    if vm.m != graph.m:
-        raise ValueError(f"vertex map has {vm.m} variables, graph expects {graph.m}")
+    vm._check_shape(graph.vertices, graph.m)
     failing = []
     values = vm.values
     for i, j, alpha in graph._divisors:

@@ -193,9 +193,7 @@ def monomial_class(ctx: QuadricGraph, v: int, inverted: bool = False) -> VertexM
     Every value is a unit monomial, so the pointwise inverse is again a vertex
     map; `inverted=True` returns it.
     """
-    if not 1 <= v <= ctx.vertex_count:
-        raise ValueError(f"vertex {v} out of range 1..{ctx.vertex_count}")
-    v_bar = ctx.antipode(v)
+    v_bar = ctx.antipode(v)  # refuses a v out of range
     values = {}
     for l in ctx.vertices:
         if l == v:
@@ -244,8 +242,7 @@ def antipodal_product_class(ctx: QuadricGraph) -> VertexMap:
 
 def vertex_map_to_json_dict(ctx: QuadricGraph, vm: VertexMap) -> dict:
     """Schema: {"n": int, "values": {"<vertex>": polynomial-JSON, ...}}, every vertex present."""
-    if vm.vertices() != tuple(ctx.vertices):
-        raise ValueError("vertex map does not cover exactly the graph's vertices")
+    vm._check_shape(ctx.vertices, ctx.m)
     return {"n": ctx.n, "values": {str(v): to_json_dict(vm[v]) for v in ctx.vertices}}
 
 

@@ -23,11 +23,12 @@ the generator identities are identities of vertex maps.
 
 `iter_checks` is the one sweep: it runs every instance of 2-4 and the
 generator identities, runs family 1 exhaustively up to a size bound
-(filtering candidate families by an AND of member masks) and on seeded random
-families, and yields one `CheckRecord` per instance (checks never raise on a
-failed identity, only on malformed parameters).  Callers consume the records
-as they come: `RelationStream.render` turns them into the report's JSON text
-and keeps only the counts, and a tally needs no more than a `Counter`.
+(filtering candidate families by an AND of member masks) and on
+`RANDOM_FAMILY_COUNT` seeded random families, and yields one `CheckRecord`
+per instance (checks never raise on a failed identity, only on malformed
+parameters).  Callers consume the records as they come:
+`RelationStream.render` turns them into the report's JSON text and keeps
+only the counts, and a tally needs no more than a `Counter`.
 """
 from __future__ import annotations
 
@@ -113,10 +114,6 @@ class ClassProvider:
         return entry
 
 
-def _provider(ctx: QuadricGraph, provider: ClassProvider | None) -> ClassProvider:
-    return provider if provider is not None else ClassProvider(ctx)
-
-
 def _nonempty_intersection(vertices) -> ValueError:
     return ValueError(f"family intersection {sorted(vertices)} is nonempty")
 
@@ -132,7 +129,7 @@ def check_product_vanishing(ctx, family, provider=None) -> bool:
     every vertex, once the AND of their member masks is empty.  No polynomial
     is multiplied.
     """
-    provider = _provider(ctx, provider)
+    provider = provider or ClassProvider(ctx)
     family = tuple(family)
     if not family:
         raise ValueError("family must be nonempty")
@@ -157,20 +154,15 @@ def spare_pole_pair(ctx, members) -> tuple[int, int]:
     members = frozenset(members)
     if len(members) != ctx.n or not ctx.is_admissible(members):
         raise ValueError(f"{sorted(members)} is not an admissible set of size n={ctx.n}")
-    pairs = [
-        (i, ctx.antipode(i))
-        for i in range(1, ctx.n + 2)
-        if i not in members and ctx.antipode(i) not in members
-    ]
-    if len(pairs) != 1:
-        raise RuntimeError(f"expected exactly one spare pair, found {pairs}")
-    return pairs[0]
+    # I takes one vertex from each of n of the n + 1 antipodal pairs, so exactly one pair is left.
+    i = next(i for i in range(1, ctx.n + 2) if i not in members and ctx.antipode(i) not in members)
+    return i, ctx.antipode(i)
 
 
 def check_complete_set_split(ctx, members, provider=None) -> bool:
     """For admissible I of size n: prod_{i in I}(1 - M_i) splits as
     Thom((I ∪ {b})^c) + M_b * Thom((I ∪ {b'})^c) with {b, b'} the spare pair."""
-    provider = _provider(ctx, provider)
+    provider = provider or ClassProvider(ctx)
     members = frozenset(members)
     b, b_bar = spare_pole_pair(ctx, members)
     complement = frozenset(ctx.vertices) - members
@@ -185,7 +177,7 @@ def check_complete_set_split(ctx, members, provider=None) -> bool:
 
 def check_peeling(ctx, members, i, provider=None) -> bool:
     """Thom(P) * (1 - M_i) == Thom(P \\ {i}) for i in P, |P| > 1."""
-    provider = _provider(ctx, provider)
+    provider = provider or ClassProvider(ctx)
     members = frozenset(members)
     if i not in members:
         raise ValueError(f"vertex {i} is not in {sorted(members)}")
@@ -199,7 +191,7 @@ def check_antipodal_product(ctx, v, w, provider=None) -> bool:
     """M_v * M_antipode(v) == M_w * M_antipode(w) == the antipodal product class."""
     if v == w:
         raise ValueError("the two vertices must be distinct")
-    provider = _provider(ctx, provider)
+    provider = provider or ClassProvider(ctx)
     x = antipodal_product_class(ctx)
     left = provider.monomial(v) * provider.monomial(ctx.antipode(v))
     right = provider.monomial(w) * provider.monomial(ctx.antipode(w))
@@ -210,7 +202,7 @@ def check_generator_identity(ctx, i, provider=None) -> bool:
     """M_{i+1} * M_1^{-1} is the constant map y_i, for i = 1..n+1."""
     if not 1 <= i <= ctx.n + 1:
         raise ValueError(f"i must be in 1..{ctx.n + 1}, got {i}")
-    provider = _provider(ctx, provider)
+    provider = provider or ClassProvider(ctx)
     y_i = monomial(tuple(1 if k == i - 1 else 0 for k in range(ctx.m)))
     expected = VertexMap.constant(ctx.vertices, y_i)
     return provider.monomial(i + 1) * provider.monomial_inverse(1) == expected
@@ -252,12 +244,12 @@ ALL_KINDS = (
     "complete_set_split",
     "product_vanishing",
 )
+RANDOM_FAMILY_COUNT = 100  # seeded random product-vanishing families per sweep
 
 
 def iter_checks(
     ctx,
     family_size_bound: int = 3,
-    random_family_count: int = 100,
     seed: int = 0,
     kinds=ALL_KINDS,
     provider: ClassProvider | None = None,
@@ -267,11 +259,11 @@ def iter_checks(
     Exhaustive over: all generator identities, all distinct vertex pairs, all
     (admissible P, i in P) with |P| > 1, all admissible I of size n, and all
     distinct empty-intersection families of at most `family_size_bound` index
-    sets; plus `random_family_count` seeded random families (any size,
+    sets; plus `RANDOM_FAMILY_COUNT` seeded random families (any size,
     duplicates allowed).  Each family is decided by one call of
     `check_product_vanishing`.
     """
-    provider = _provider(ctx, provider)
+    provider = provider or ClassProvider(ctx)
 
     if "generator_identity" in kinds:
         for i in range(1, ctx.n + 2):
@@ -323,7 +315,7 @@ def iter_checks(
                     check_product_vanishing(ctx, family, provider),
                 )
         rng = random.Random(seed)
-        for _ in range(random_family_count):
+        for _ in range(RANDOM_FAMILY_COUNT):
             family = random_empty_intersection_family(ctx, rng, universe)
             yield CheckRecord(
                 "product_vanishing",

@@ -93,7 +93,7 @@ def test_criterion_4_relation_suite(capsys):
     for n in (1, 2, 3):
         started = time.perf_counter()
         ctx = QuadricGraph(n)
-        failures = [r for r in iter_checks(ctx, family_size_bound=3, random_family_count=100, seed=0) if not r.passed]
+        failures = [r for r in iter_checks(ctx, family_size_bound=3, seed=0) if not r.passed]
         assert not failures, failures[:5]
         timings[n] = time.perf_counter() - started
     assert timings[3] < 300.0
@@ -159,6 +159,6 @@ def test_criterion_7_mutation_sensitivity(capsys):
     # The relation suite names a corrupted class too.
     provider = ClassProvider(ctx)
     provider.override("M", 1, mutate_one_coefficient(goldens[0], random.Random(7)))
-    assert not all(r.passed for r in iter_checks(ctx, random_family_count=10, seed=7, provider=provider))
+    assert not all(r.passed for r in iter_checks(ctx, seed=7, provider=provider))
     with capsys.disabled():
         report(7, "all 50 single-coefficient mutations detected; relation suite flags overrides")

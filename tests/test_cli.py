@@ -351,6 +351,10 @@ def test_usage_errors_exit_two(capsys):
         (["check", "--n", "1", "--in", "@in"], b"\xff", "can't decode byte 0xff"),
         (["decompose", "--n", "1", "--in", "@in"], b'{"n": 1' + b"0" * 5000 + b"}", "Exceeds the limit"),
         (["check", "--n", "1", "--in", "@in"], b"not json at all {", "malformed JSON"),
+        pytest.param(["check", "--n", "1", "--in", "@in"], b"[" * 200_000, "in.json: JSON nested too deeply",
+                     id="check-nested-arrays"),
+        pytest.param(["decompose", "--n", "1", "--in", "@in"], b'{"n":' * 200_000, "in.json: JSON nested too deeply",
+                     id="decompose-nested-objects"),
     ],
 )
 def test_bad_values_are_usage_errors(tmp_path, capsys, argv, source, message):

@@ -375,6 +375,14 @@ def test_decomposition_json_round_trip(q1):
     assert Decomposition.from_json_dict(q1, doc) == d
 
 
+def test_decomposition_json_writer_refuses_what_the_reader_refuses(q1):
+    # The reader refuses a coefficient in 3 variables at n=1; so does the writer.
+    with pytest.raises(ValueError, match="coefficient has 3 variables, expected 2"):
+        Decomposition((one(2), one(2), one(3), one(2))).to_json_dict(q1)
+    with pytest.raises(ValueError, match="coefficient count"):
+        Decomposition((one(2),) * 3).to_json_dict(q1)
+
+
 def test_decomposition_json_rejects_a_boolean_n(q1):
     # True == 1, so only the type check keeps it from passing as n=1.
     doc = decompose(q1, monomial_class(q1, 4)).to_json_dict(q1)

@@ -161,11 +161,13 @@ def test_monomial_class_inverse(q2):
         assert product == VertexMap.constant(q2.vertices, one(3))
 
 
-def test_monomial_class_vertex_range(q2):
-    with pytest.raises(ValueError):
-        monomial_class(q2, 0)
-    with pytest.raises(ValueError):
-        monomial_class(q2, 7)
+def test_monomial_class_vertex_range():
+    for n in (1, 2, 3):
+        ctx = QuadricGraph(n)
+        for v in (0, 2 * n + 3):
+            for inverted in (False, True):
+                with pytest.raises(ValueError, match=rf"^vertex {v} out of range 1\.\.{2 * n + 2}$"):
+                    monomial_class(ctx, v, inverted=inverted)
 
 
 # -- Thom classes ----------------------------------------------------------------------
@@ -294,6 +296,14 @@ def test_vertex_map_json_round_trip(q2):
     doc = vertex_map_to_json_dict(q2, vm)
     assert set(doc) == {"n", "values"}
     assert vertex_map_from_json_dict(q2, doc) == vm
+
+
+def test_vertex_map_json_writer_refuses_what_the_reader_refuses(q1):
+    # The reader refuses a value in 3 variables at n=1; so does the writer.
+    with pytest.raises(ValueError, match="vertex map has 3 variables, expected 2"):
+        vertex_map_to_json_dict(q1, VertexMap.constant(q1.vertices, one(3)))
+    with pytest.raises(ValueError, match="does not cover exactly"):
+        vertex_map_to_json_dict(q1, VertexMap.constant(range(1, 4), one(2)))
 
 
 def test_vertex_map_json_requires_every_vertex(q1):

@@ -129,9 +129,9 @@ def test_zero_sets_agree_with_expanded_products(n, corruption):
 def test_verify_all_decides_product_vanishing_as_the_checked_function(n, corruption):
     ctx = QuadricGraph(n)
     provider = corrupted_provider(ctx, corruption)
-    records = list(iter_checks(ctx, random_family_count=30, seed=4, kinds=("product_vanishing",), provider=provider))
+    records = list(iter_checks(ctx, seed=4, kinds=("product_vanishing",), provider=provider))
     reference = corrupted_provider(ctx, corruption)
-    assert sum(1 for r in records if r.params.get("random")) == 30
+    assert sum(1 for r in records if r.params.get("random")) == 100
     for record in records:
         family = [frozenset(j) for j in record.params["family"]]
         assert record.passed == check_product_vanishing(ctx, family, reference), record
@@ -140,12 +140,12 @@ def test_verify_all_decides_product_vanishing_as_the_checked_function(n, corrupt
 
 def test_override_after_a_sweep_drops_cached_supported_classes(q1):
     provider = ClassProvider(q1)
-    assert all(r.passed for r in iter_checks(q1, random_family_count=10, seed=3, provider=provider))
+    assert all(r.passed for r in iter_checks(q1, seed=3, provider=provider))
     fresh = corrupted_provider(q1, "missing_vertex")
     provider.override("M", 1, fresh.monomial(1))
-    records = list(iter_checks(q1, random_family_count=10, seed=3, provider=provider))
+    records = list(iter_checks(q1, seed=3, provider=provider))
     assert any(r.kind == "product_vanishing" for r in records if not r.passed)
-    assert records == list(iter_checks(q1, random_family_count=10, seed=3, provider=fresh))
+    assert records == list(iter_checks(q1, seed=3, provider=fresh))
 
 
 def test_verify_all_decides_every_family_through_check_product_vanishing(monkeypatch):
@@ -191,13 +191,12 @@ def oracle_product_vanishing_records(ctx, bound, random_count, seed, provider):
 def test_product_vanishing_sweep_matches_the_oracle(n, corruption):
     ctx = QuadricGraph(n)
     oracle = oracle_product_vanishing_records(ctx, 4, 0, 0, corrupted_provider(ctx, corruption))
-    randoms = oracle_product_vanishing_records(ctx, 0, 10, 6, corrupted_provider(ctx, corruption))
+    randoms = oracle_product_vanishing_records(ctx, 0, 100, 6, corrupted_provider(ctx, corruption))
     assert all(passed for _, (_, _, passed) in oracle) == (corruption == "none")
     for bound in range(5):
         records = iter_checks(
             ctx,
             family_size_bound=bound,
-            random_family_count=10,
             seed=6,
             kinds=("product_vanishing",),
             provider=corrupted_provider(ctx, corruption),
@@ -248,6 +247,18 @@ def test_spare_pair_requires_size_n(q2):
         spare_pole_pair(q2, {1})
     with pytest.raises(ValueError):
         spare_pole_pair(q2, {1, 6})  # inadmissible
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_spare_pair_is_the_one_pair_outside_every_admissible_set_of_size_n(n):
+    ctx = QuadricGraph(n)
+    sets = [members for members in ctx.admissible_subsets() if len(members) == n]
+    assert len(sets) == (n + 1) * 2**n
+    for members in sets:
+        i, i_bar = spare_pole_pair(ctx, members)
+        assert i <= n + 1 and i_bar == ctx.antipode(i)
+        assert i not in members and i_bar not in members
+        assert {v for v in ctx.vertices if v not in members} - {i, i_bar} == {ctx.antipode(v) for v in members}
 
 
 # -- complete-set split ------------------------------------------------------------
@@ -404,7 +415,7 @@ def dumped(doc, pretty):
 @pytest.mark.parametrize("n", [1, 2])
 def test_verify_all_passes(n):
     ctx = QuadricGraph(n)
-    records = list(iter_checks(ctx, random_family_count=25, seed=5))
+    records = list(iter_checks(ctx, seed=5))
     passes = sum(r.passed for r in records)
     assert all(r.passed for r in records)
     assert len(records) - passes == 0
@@ -415,7 +426,7 @@ def test_verify_all_passes(n):
 
 
 def test_verify_all_report_shape(q1):
-    records = iter_checks(q1, random_family_count=5, seed=1)
+    records = iter_checks(q1, seed=1)
     kinds = {record.kind for record in records}
     assert kinds == {
         "generator_identity",
@@ -432,7 +443,7 @@ def test_corrupted_class_is_named_in_failures(q1):
     values = dict(m1.values)
     values[2] = values[2] * -1  # flip one coefficient
     provider.override("M", 1, VertexMap(values))
-    records = iter_checks(q1, random_family_count=10, seed=3, provider=provider)
+    records = iter_checks(q1, seed=3, provider=provider)
     failures = [r for r in records if not r.passed]
     assert failures
     def mentions_vertex_one(record):
@@ -470,7 +481,7 @@ RENDER_GRID = [
 )
 def test_rendered_stream_equals_the_dumped_report(n, bound, corruption, kinds):
     ctx = QuadricGraph(n)
-    args = (bound, 6, n + bound, kinds)
+    args = (bound, n + bound, kinds)
     expected = list(iter_checks(ctx, *args, corrupted_provider(ctx, corruption)))
     doc = report_json_dict(n, expected)
     passes = sum(r.passed for r in expected)
