@@ -32,7 +32,7 @@ from .gkm import (
     check_three_independence,
     is_k_class,
 )
-from .laurent import ParseError
+from .laurent import ParseError, _quoted
 from .linalg import spans_full_lattice
 from .quadric import (
     QuadricGraph,
@@ -223,7 +223,7 @@ def _cmd_decompose(args) -> int:
     largest = max((abs(x) for v in ctx.vertices for e in vm[v].support() for x in e), default=0)
     bound = MAX_EXPONENT_BY_N[ctx.n]
     if largest > bound:
-        raise UsageError(f"{args.infile}: exponent {largest} exceeds the supported maximum {bound}")
+        raise UsageError(f"{args.infile}: exponent {_quoted(largest)} exceeds the supported maximum {bound}")
     try:
         result = decompose(ctx, vm)
     except NotAKClassError as exc:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -54,12 +54,11 @@ from .laurent import (
     ParseError,
     _Accumulator,
     div_exact_product,
-    from_json_dict,
     one,
     to_json_dict,
     zero,
 )
-from .quadric import QuadricGraph, monomial_class, thom_class
+from .quadric import QuadricGraph, _document_body, _value_from_json_dict, monomial_class, thom_class
 
 
 class NotAKClassError(ValueError):
@@ -177,20 +176,10 @@ class Decomposition:
 
     @classmethod
     def from_json_dict(cls, ctx: QuadricGraph, doc) -> "Decomposition":
-        if not isinstance(doc, dict) or set(doc) != {"n", "coeffs"}:
-            raise ParseError("decomposition document must have exactly the keys 'n' and 'coeffs'")
-        if type(doc["n"]) is not int or doc["n"] != ctx.n:
-            raise ParseError(f"decomposition is for n={doc['n']!r}, context expects n={ctx.n}")
-        coeffs = doc["coeffs"]
+        coeffs = _document_body(ctx, doc, "decomposition", "coeffs")
         if not isinstance(coeffs, list) or len(coeffs) != ctx.vertex_count:
             raise ParseError(f"'coeffs' must be a list of {ctx.vertex_count} polynomials")
-        parsed = []
-        for entry in coeffs:
-            p = from_json_dict(entry)
-            if p.m != ctx.m:
-                raise ParseError(f"coefficient has {p.m} variables, expected {ctx.m}")
-            parsed.append(p)
-        return cls(tuple(parsed))
+        return cls(tuple(_value_from_json_dict(ctx, entry, "coefficient") for entry in coeffs))
 
 
 def decompose(ctx: QuadricGraph, f: VertexMap, basis: CanonicalBasis | None = None) -> Decomposition:
@@ -320,14 +309,7 @@ class FreeModuleReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "coefficient_round_trips": self.coefficient_round_trips,
-            "class_round_trips": self.class_round_trips,
-            "zero_decomposes_to_zero": self.zero_decomposes_to_zero,
-            "pass": self.ok,
-        }
+        return {**asdict(self), "pass": self.ok}
 
 
 def verify_free_module(ctx: QuadricGraph, trials: int = 100, seed: int = 0) -> FreeModuleReport:

@@ -108,9 +108,6 @@ class GkmGraph:
         except KeyError:
             raise ValueError(f"({i}, {j}) is not an edge") from None
 
-    def degree(self, p: int) -> int:
-        return len(self._stars[p])
-
     def to_json_dict(self) -> dict:
         return {
             "m": self.m,
@@ -158,9 +155,6 @@ class VertexMap:
             raise ValueError("vertex map does not cover exactly the graph's vertices")
         if self.m != m:
             raise ValueError(f"vertex map has {self.m} variables, expected {m}")
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.values.values())
 
     def _coerce(self, other) -> "VertexMap":
         if isinstance(other, (int, LaurentPolynomial)):

@@ -13,8 +13,8 @@ coordinate 0 in the most significant field, and every field holds e_i + bias
 with bias = 2^(width-1).  So the zero vector packs to the sum of the biases,
 a product key is k1 + k2 - zero, shifting by alpha adds the signed packing
 Σ alpha_i·2^(shift_i), and sorting packed ints sorts exponents
-lexicographically.  The public API (constructor, `items`, `support`,
-`coefficient`, str, JSON documents) takes and returns tuples only.
+lexicographically.  The public API (constructor, `items`, `support`, str,
+JSON documents) takes and returns tuples only.
 
 Exactness for any exponent size.  Each polynomial carries `_bound`, an upper
 bound on |e_i| over all its terms, and keeps _bound < bias, so every field is
@@ -78,6 +78,13 @@ class NonDivisibleError(ArithmeticError):
 
 class ParseError(ValueError):
     """A serialized polynomial document violates the schema or canonical form."""
+
+
+def _quoted(value) -> str:
+    """repr(value), cut to its first 60 characters and "..." when longer, so a
+    ParseError that echoes input stays one short line."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 def _check_exponent(e, m: int | None = None) -> Exponent:
@@ -146,9 +153,8 @@ def _keyed(p, layout: _Layout) -> dict[int, int]:
 class LaurentPolynomial:
     """An element of Z[y_1^±1, ..., y_m^±1] in canonical form.
 
-    Supports +, -, * (with ints and with other polynomials of the same m) and
-    ** (negative powers only for single-term units).  Equality is equality of
-    canonical forms.
+    Supports +, -, * (with ints and with other polynomials of the same m).
+    Equality is equality of canonical forms.
     """
 
     __slots__ = ("m", "_terms", "_layout", "_bound")
@@ -197,12 +203,6 @@ class LaurentPolynomial:
         unpack = self._layout.unpack
         return [unpack(key) for key in sorted(self._terms)]
 
-    def coefficient(self, e) -> int:
-        e = _check_exponent(e, self.m)
-        if any(abs(x) > self._bound for x in e):
-            return 0
-        return self._terms.get(self._layout.pack(e), 0)
-
     def term_count(self) -> int:
         return len(self._terms)
 
@@ -211,10 +211,6 @@ class LaurentPolynomial:
 
     def is_one(self) -> bool:
         return self._terms == {self._layout.zero: 1}
-
-    def is_monomial(self) -> bool:
-        """True iff the polynomial has exactly one term with coefficient ±1."""
-        return len(self._terms) == 1 and next(iter(self._terms.values())) in (1, -1)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -291,25 +287,6 @@ class LaurentPolynomial:
         return LaurentPolynomial._raw(self.m, result, layout, bound)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            if not self.is_monomial():
-                raise ValueError("negative powers exist only for single-term units")
-            (key, c), = self._terms.items()
-            layout = self._layout
-            inverse = LaurentPolynomial._raw(self.m, {2 * layout.zero - key: c}, layout, self._bound)
-            return inverse ** (-k)
-        result = one(self.m)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     # -- display ------------------------------------------------------------
 
@@ -577,7 +554,7 @@ def from_json_dict(doc) -> LaurentPolynomial:
         raise ParseError("polynomial document must be an object with exactly the keys 'm' and 'terms'")
     m = doc["m"]
     if type(m) is not int or m < 1:
-        raise ParseError(f"'m' must be a positive integer, got {m!r}")
+        raise ParseError(f"'m' must be a positive integer, got {_quoted(m)}")
     if not isinstance(doc["terms"], list):
         raise ParseError("'terms' must be a list")
     terms: dict[Exponent, int] = {}
@@ -586,20 +563,20 @@ def from_json_dict(doc) -> LaurentPolynomial:
             raise ParseError(f"term {k} must be an object with exactly the keys 'exp' and 'coef'")
         exp = entry["exp"]
         if not isinstance(exp, list) or len(exp) != m or not all(type(x) is int for x in exp):
-            raise ParseError(f"term {k}: 'exp' must be a list of {m} ints, got {exp!r}")
+            raise ParseError(f"term {k}: 'exp' must be a list of {m} ints, got {_quoted(exp)}")
         coef = entry["coef"]
         if not isinstance(coef, str):
-            raise ParseError(f"term {k}: 'coef' must be a decimal string, got {coef!r}")
+            raise ParseError(f"term {k}: 'coef' must be a decimal string, got {_quoted(coef)}")
         try:
             value = int(coef)
         except ValueError:
-            raise ParseError(f"term {k}: 'coef' is not a decimal integer: {coef!r}") from None
+            raise ParseError(f"term {k}: 'coef' is not a decimal integer: {_quoted(coef)}") from None
         if str(value) != coef:  # int() also takes signs, spaces, '_' and non-ASCII digits
-            raise ParseError(f"term {k}: 'coef' is not in canonical decimal form: {coef!r}")
+            raise ParseError(f"term {k}: 'coef' is not in canonical decimal form: {_quoted(coef)}")
         if value == 0:
-            raise ParseError(f"term {k} ({exp!r}): zero coefficient violates canonical form")
+            raise ParseError(f"term {k} ({_quoted(exp)}): zero coefficient violates canonical form")
         key = tuple(exp)
         if key in terms:
-            raise ParseError(f"term {k} ({exp!r}): duplicate exponent key")
+            raise ParseError(f"term {k} ({_quoted(exp)}): duplicate exponent key")
         terms[key] = value
     return LaurentPolynomial._raw(m, *_packed(m, terms))

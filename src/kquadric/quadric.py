@@ -43,6 +43,7 @@ from .gkm import GkmGraph, VertexMap, derive_connection
 from .laurent import (
     LaurentPolynomial,
     ParseError,
+    _quoted,
     _sharing_keys,
     from_json_dict,
     monomial,
@@ -246,23 +247,31 @@ def vertex_map_to_json_dict(ctx: QuadricGraph, vm: VertexMap) -> dict:
     return {"n": ctx.n, "values": {str(v): to_json_dict(vm[v]) for v in ctx.vertices}}
 
 
-def vertex_map_from_json_dict(ctx: QuadricGraph, doc) -> VertexMap:
-    if not isinstance(doc, dict) or set(doc) != {"n", "values"}:
-        raise ParseError("vertex map document must have exactly the keys 'n' and 'values'")
+def _document_body(ctx: QuadricGraph, doc, what: str, key: str):
+    """The body of an n-keyed document for `ctx`: one with exactly the keys
+    'n' and `key`, whose n is the int ctx.n.  `what` names the document."""
+    if not isinstance(doc, dict) or set(doc) != {"n", key}:
+        raise ParseError(f"{what} document must have exactly the keys 'n' and '{key}'")
     if type(doc["n"]) is not int or doc["n"] != ctx.n:
-        raise ParseError(f"vertex map is for n={doc['n']!r}, context expects n={ctx.n}")
-    values_doc = doc["values"]
+        raise ParseError(f"{what} is for n={_quoted(doc['n'])}, context expects n={ctx.n}")
+    return doc[key]
+
+
+def _value_from_json_dict(ctx: QuadricGraph, doc, where: str) -> LaurentPolynomial:
+    """A polynomial document in ctx.m variables; `where` names the value."""
+    p = from_json_dict(doc)
+    if p.m != ctx.m:
+        raise ParseError(f"{where} has {p.m} variables, expected {ctx.m}")
+    return p
+
+
+def vertex_map_from_json_dict(ctx: QuadricGraph, doc) -> VertexMap:
+    values_doc = _document_body(ctx, doc, "vertex map", "values")
     if not isinstance(values_doc, dict):
         raise ParseError("'values' must be an object keyed by vertex")
     expected = {str(v) for v in ctx.vertices}
     if set(values_doc) != expected:
         missing = sorted(expected - set(values_doc))
         extra = sorted(set(values_doc) - expected)
-        raise ParseError(f"vertex keys wrong (missing {missing}, unexpected {extra})")
-    values = {}
-    for v in ctx.vertices:
-        p = from_json_dict(values_doc[str(v)])
-        if p.m != ctx.m:
-            raise ParseError(f"value at vertex {v} has {p.m} variables, expected {ctx.m}")
-        values[v] = p
-    return VertexMap(values)
+        raise ParseError(f"vertex keys wrong (missing {missing}, unexpected {_quoted(extra)})")
+    return VertexMap({v: _value_from_json_dict(ctx, values_doc[str(v)], f"value at vertex {v}") for v in ctx.vertices})

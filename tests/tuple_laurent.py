@@ -43,13 +43,6 @@ def mul(a: Terms, b: Terms) -> Terms:
     return result
 
 
-def power(a: Terms, m: int, k: int) -> Terms:
-    result: Terms = {(0,) * m: 1}
-    for _ in range(k):
-        result = mul(result, a)
-    return result
-
-
 def _buckets(g: Terms, alpha) -> dict[tuple[int, ...], list[tuple[int, int]]]:
     norm = sum(a * a for a in alpha)
     buckets: dict[tuple[int, ...], list[tuple[int, int]]] = {}

@@ -32,7 +32,7 @@ def decompose(ctx, f: VertexMap, basis) -> tuple:
         coefficients.append(h_k)
         if not h_k.is_zero():
             residual = residual - basis.classes[k - 1] * h_k
-    if not residual.is_zero():
+    if not all(p.is_zero() for p in residual.values.values()):
         raise RuntimeError(f"nonzero terminal remainder after stage {ctx.vertex_count}")
     return tuple(coefficients)
 
