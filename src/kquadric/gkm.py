@@ -265,8 +265,9 @@ def derive_connection(graph: GkmGraph) -> Connection:
     Partners are found by coset key, not by testing every pair of edges: each
     weight w is keyed by its representative w - t*weight(e) modulo
     Z*weight(e), with t = w_j // weight(e)_j at the first nonzero coordinate j
-    of weight(e).  `laurent._line_sums` keys its lines in the same form but
-    not with the same pivot: it takes the first j of largest |alpha_j|.
+    of weight(e).  `laurent.divisible_by_binomial` keys its lines in the
+    same form but not with the same pivot: it takes the first j of largest
+    |alpha_j|.
     Adding weight(e) to w adds exactly 1 to t, whatever the signs and even
     for a non-primitive weight, so two weights share a key iff their
     difference is an integer multiple of weight(e), and the multiple (the

@@ -44,16 +44,20 @@ everything downstream is built on:
 * ``div_exact_binomial(g, alpha)`` produces the exact quotient, which along
   each coset is the running sum of g's coefficients.
 
-Both rest on one pass that sums the coefficients of g along each coset line
+``divisible_by_binomial`` sums the coefficients of g along each coset line
 e + Z·alpha, keyed by the representative e - t·alpha with t = ⌊e_j / alpha_j⌋
 for the coordinate j of largest |alpha_j|, which is also right for
 non-primitive alpha.  On packed keys that is one field read, one floor
 division and key - t·P(alpha).  Then |t| <= |e_j|/|alpha_j| + 1, so every
 coordinate of the representative satisfies |e_i - t·alpha_i| <= 2·bound +
-max|alpha|; the pass widens by the same rule.  Division then fills the
-quotient in one walk over g's keys in sorted order, in which every line is
-met in increasing t.  Quotient exponents lie between two exponents of g on
-their line, so they stay within g's bound.
+max|alpha|; the pass widens by the same rule.  ``div_exact_binomial`` fills
+the quotient in one walk over g's keys in sorted order, laid out for
+bound + max|alpha|, in which every line is met in increasing t.  On a
+divisible g every fill ends at the next term of g on its line, so quotient
+exponents stay within g's bound.  Only a fill that runs min(len(g), the
+fields' headroom) steps without meeting one runs the line sums, once per
+call, and so does any fill once the quotient holds more than 2·len(g)
+terms; the division of a divisible g with neither never sums its lines.
 """
 from __future__ import annotations
 
@@ -446,40 +450,29 @@ def _checked_alpha(alpha, m: int) -> _Divisor:
     return _Divisor(alpha)
 
 
-def _line_sums(g: LaurentPolynomial, alpha: Exponent):
-    """Sum g's coefficients along every coset line of Z·alpha.
-
-    The coset of Z·alpha through e is keyed by the packed representative
-    e - t·alpha with t = ⌊e_j / alpha_j⌋ for the first j of largest |alpha_j|.
-    Adding alpha to e adds exactly 1 to t, so two exponents share a key iff
-    their difference lies in Z·alpha; this holds for non-primitive alpha too.
-    Returns (terms, layout, step, divisible): g's terms keyed in a layout that
-    also holds every representative, that layout, the packed step P(alpha),
-    and whether every line sums to zero.
-    """
-    top = max(abs(a) for a in alpha)
-    j = next(i for i, a in enumerate(alpha) if abs(a) == top)
-    layout = _common_layout(g.m, g._layout, g._layout, 2 * g._bound + top)
-    terms, step = _keyed(g, layout), layout.offset(alpha)
-    shift, mask, bias, a_j = layout.shifts[j], layout.mask, layout.bias, alpha[j]
-    sums: dict[int, int] = {}
-    get = sums.get
-    for key, c in terms.items():
-        rep = key - (((key >> shift) & mask) - bias) // a_j * step
-        sums[rep] = get(rep, 0) + c
-    return terms, layout, step, not any(sums.values())
-
-
 def divisible_by_binomial(g: LaurentPolynomial, alpha: Iterable[int]) -> bool:
     """True iff g lies in the ideal (1 - y^alpha).
 
     Coefficients are summed by coset of Z·alpha; g is divisible iff every
     coset sums to zero.  This is exact: modulo y^alpha - 1 the ring is the
-    group ring of Z^m / Z·alpha.
+    group ring of Z^m / Z·alpha.  The coset through e is keyed by the packed
+    representative e - t·alpha with t = ⌊e_j / alpha_j⌋ for the first j of
+    largest |alpha_j|.  Adding alpha to e adds exactly 1 to t, so two
+    exponents share a key iff their difference lies in Z·alpha.
     """
     if type(alpha) is not _Divisor:  # gkm.is_k_class passes weights checked once per graph
         alpha = _checked_alpha(alpha, g.m)
-    return _line_sums(g, alpha)[3]
+    top = max(abs(a) for a in alpha)
+    j = next(i for i, a in enumerate(alpha) if abs(a) == top)
+    layout = _common_layout(g.m, g._layout, g._layout, 2 * g._bound + top)
+    step = layout.offset(alpha)
+    shift, mask, bias, a_j = layout.shifts[j], layout.mask, layout.bias, alpha[j]
+    sums: dict[int, int] = {}
+    get = sums.get
+    for key, c in _keyed(g, layout).items():
+        rep = key - (((key >> shift) & mask) - bias) // a_j * step
+        sums[rep] = get(rep, 0) + c
+    return not any(sums.values())
 
 
 def div_exact_binomial(g: LaurentPolynomial, alpha: Iterable[int]) -> LaurentPolynomial:
@@ -489,25 +482,41 @@ def div_exact_binomial(g: LaurentPolynomial, alpha: Iterable[int]) -> LaurentPol
     q(e) = q(e - alpha) + g(e).  The keys of g are walked in sorted order
     (reversed when P(alpha) < 0), which meets every line in increasing t; a
     nonzero running value is stored at e and filled forward to the next key
-    of g on the line.  Raises NonDivisibleError when some line does not sum
-    to zero, before any quotient term is built: the fill relies on every line
-    ending at zero, and a failing line can span far more terms than g has.
+    of g on the line.  On a divisible g every fill ends there, inside g's
+    bound.  A fill that runs cap = min(len(g), (bias - 1 - bound) //
+    max|alpha_i|) steps without meeting a key of g may be the overrun of a
+    line that does not sum to zero, so it runs `divisible_by_binomial`, once
+    per call: NonDivisibleError if g is not divisible, else the walk goes on
+    with no cap.  Once the quotient holds more than 2·len(g) terms, cap is 1
+    until that check has run, so a failing call fills O(len(g)) terms in all.
+    The layout holds bound + max|alpha_i|, and within cap steps no field
+    wraps, so the last fill of a line that does not sum to zero meets no key
+    of g and always overruns.
     """
     if type(alpha) is not _Divisor:  # div_exact_product passes alphas checked against g.m
         alpha = _checked_alpha(alpha, g.m)
-    terms, layout, step, divisible = _line_sums(g, alpha)
-    if not divisible:
-        raise NonDivisibleError(
-            f"a polynomial of {len(terms)} terms is not divisible by 1 - y^{list(alpha)}"
-        )
+    top = max(abs(a) for a in alpha)
+    layout = _common_layout(g.m, g._layout, g._layout, g._bound + top)
+    terms, step = _keyed(g, layout), layout.offset(alpha)
+    cap = min(len(terms), (layout.bias - 1 - g._bound) // top)
+    budget = 2 * len(terms)
     quotient: dict[int, int] = {}
     get = quotient.get
     for key in sorted(terms, reverse=step < 0):
         running = get(key - step, 0) + terms[key]
         if running:
             quotient[key] = running
+            if cap > 1 and len(quotient) > budget:
+                cap = 1
+            limit = key + cap * step  # cap is 0 once g is known divisible: the fill has left key
             key += step
             while key not in terms:
+                if key == limit:
+                    if not divisible_by_binomial(g, alpha):
+                        raise NonDivisibleError(
+                            f"a polynomial of {len(terms)} terms is not divisible by 1 - y^{list(alpha)}"
+                        )
+                    cap = 0
                 quotient[key] = running
                 key += step
     return LaurentPolynomial._raw(g.m, quotient, layout, g._bound)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import kquadric
 import tuple_laurent as oracle
+from kquadric import laurent
 from kquadric.laurent import (
     LaurentPolynomial,
     NonDivisibleError,
@@ -29,6 +30,7 @@ from kquadric.laurent import (
     one,
     one_minus_monomial,
     to_json_dict,
+    zero,
 )
 
 EDGES = (2**14, 2**15, 2**30, 2**31, 2**62, 2**63, 10**12, 2**64)
@@ -116,6 +118,9 @@ def test_ring_operations_match_tuple_oracle(case):
 # first does not: unwidened it would pack to the key of (0, -6), the second.
 @example((2, monomial((0, 0)), monomial((2**15 - 3, 2**15 - 4)) - monomial((0, -6)), (-3, 3)))
 @example((1, monomial((2**63,)), monomial((1,)), (2**63 - 1,)))
+# P(alpha) does not fit the fields of g's own layout: the walk must lay g out
+# wide enough for g's bound plus max|alpha_i|, or the one term's fill wraps.
+@example((2, zero(2), monomial((0, 2**31)), (-1, 2**64)))
 def test_binomial_division_matches_tuple_oracle(case):
     _, a, b, alpha = case
     multiple = a * one_minus_monomial(alpha)
@@ -208,9 +213,10 @@ def test_division_fills_a_long_gap():
     assert div_exact_binomial(g, alpha) == expected
 
 
-def test_non_divisible_input_with_a_huge_gap_fails_before_any_fill():
-    # The one line of 1 + y^(2^40 alpha) sums to 2.  A quotient built before
-    # that check would start a fill of 2^40 terms and never finish.
+def test_non_divisible_input_with_a_huge_gap_fails_after_a_short_fill():
+    # The one line of 1 + y^(2^40 alpha) sums to 2.  The fill from its first
+    # term would run 2^40 steps to reach the second; it overruns after
+    # len(g) = 2 steps, the line sums are checked, and the call fails there.
     script = """
 from kquadric.laurent import NonDivisibleError, div_exact_binomial, monomial, one
 alpha = (1, -2)
@@ -230,6 +236,115 @@ except NonDivisibleError as exc:
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "a polynomial of 2 terms is not divisible by 1 - y^[1, -2]\n"
+
+
+# A fill that runs cap = min(len(g), headroom) steps without meeting a term of
+# g triggers the line-sum check.  Here the bound EDGE leaves the 16-bit layout
+# a headroom (bias - 1 - bound) // max|alpha_i| of 2 // 2 = 1 step, which is
+# the cap.
+EDGE = 2**15 - 3
+
+
+def at_the_edge(alpha):
+    """(divisible, not divisible) polynomials with bound EDGE in the 16-bit
+    layout whose terms at |e_1| near EDGE fill toward the end of the e_1
+    field: alpha_1 = ±1 has the sign of those e_1."""
+    toward = alpha[0]
+    run = LaurentPolynomial(2, {(toward * (EDGE - 4 + s), -toward * 2 * s): 1 for s in range(4)})
+    a = run + monomial((0, -toward * 5), 7)
+    # Rebuilt from its terms, so that the tracked bound is the measured EDGE.
+    g = LaurentPolynomial(2, dict((a * one_minus_monomial(alpha)).items()))
+    return g, g + monomial((toward * EDGE, 1), -2)
+
+
+@pytest.mark.parametrize("alpha", [(1, -2), (-1, 2)])
+def test_fills_capped_by_the_headroom_below_the_bias(alpha):
+    divisible, not_divisible = at_the_edge(alpha)
+    # The divisible g has a gap of 4 > cap = 1 on the line of its run; the
+    # extra term's line in the other sums to -2 and would wrap after 3 steps.
+    for g in (divisible, not_divisible, monomial((alpha[0] * EDGE, 0))):
+        assert g._layout.width == 16 and g._bound == EDGE
+        assert (g._layout.offset(alpha) > 0) == (alpha[0] > 0)
+        assert packed_quotient(g, alpha) == oracle_quotient(tuple_terms(g), alpha)
+    assert div_exact_binomial(divisible, alpha).term_count() == 5
+    assert packed_quotient(not_divisible, alpha) is None
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_fill_past_the_headroom_would_wrap_onto_a_term(sign):
+    # The line of y^(0, sign*B) sums to 1.  Its fill by alpha = (0, sign)
+    # carries out of the e_2 field after 2 steps and lands on the key of
+    # (sign, -sign*B) after 4, where the running value would cancel and the
+    # walk would end with a quotient.  len(g) = 6, so only the headroom
+    # (2^15 - 1 - B) // 1 = 1 makes the fill stop and check.
+    B, alpha = 2**15 - 2, (0, sign)
+    extra = LaurentPolynomial(2, {(5, 0): 3, (-5, 0): 1}) * one_minus_monomial(alpha)
+    g = monomial((0, sign * B)) - monomial((sign, -sign * B)) + extra
+    assert g.term_count() == 6 and g._layout.width == 16
+    with pytest.raises(NonDivisibleError):
+        div_exact_binomial(g, alpha)
+    assert oracle_quotient(tuple_terms(g), alpha) is None
+
+
+def test_long_gap_mid_walk_checks_once_and_stays_exact(monkeypatch):
+    # Lines of Z·(1, 0) are rows e_2 = const, met interleaved in sorted order.
+    # Row 0 has a gap of 50 > len(g) = 9 steps; rows -1 and 3 have short ones,
+    # some walked before row 0's gap, some after.
+    alpha = (1, 0)
+    long_row = LaurentPolynomial(2, {(s, 0): 1 for s in range(50)})
+    short_rows = LaurentPolynomial(2, {(-3, -1): 2, (-2, -1): -1, (1, 3): 4, (60, 3): 5})
+    a = long_row + short_rows
+    g = a * one_minus_monomial(alpha)
+    assert g.term_count() == 9
+    checks = []
+    divisible = laurent.divisible_by_binomial
+    monkeypatch.setattr(laurent, "divisible_by_binomial", lambda g, alpha: checks.append(alpha) or divisible(g, alpha))
+    assert div_exact_binomial(g, alpha) == a
+    assert len(checks) == 1
+    assert packed_quotient(g, alpha) == oracle_quotient(tuple_terms(g), alpha)
+    checks.clear()
+    # Two long rows: the line sums are still checked once per call.
+    assert div_exact_binomial(g * monomial((0, 1)) - g, alpha) == a * monomial((0, 1)) - a
+    assert len(checks) == 1
+    checks.clear()
+    # No fill overruns: no line-sum check at all.
+    assert div_exact_binomial(short_rows * one_minus_monomial(alpha), alpha) == short_rows
+    assert checks == []
+
+
+def test_failing_line_walked_first_raises_the_line_sum_message():
+    alpha = (1, 0)
+    a = LaurentPolynomial(2, {(0, 1): 3, (2, -1): -1, (4, 4): 2})
+    g = monomial((-5, 0), 2) + monomial((-4, 0), 1) + a * one_minus_monomial(alpha)
+    assert g.support()[0] == (-5, 0)  # the failing row 0 (sum 3) is walked first
+    with pytest.raises(NonDivisibleError) as err:
+        div_exact_binomial(g, alpha)
+    assert str(err.value) == "a polynomial of 8 terms is not divisible by 1 - y^[1, 0]"
+    assert packed_quotient(g, alpha) == oracle_quotient(tuple_terms(g), alpha) is None
+
+
+def test_many_short_fills_check_the_line_sums_once_the_quotient_is_large(monkeypatch):
+    # Rows y^(0, r) - y^(gap, r) along alpha = (1, 0): every fill is gap - 1
+    # < len(g) steps, so none overruns, but together they fill about
+    # len(g)·gap / 2 terms.  Past 2·len(g) quotient terms every fill is
+    # capped at one step, so the line sums run once, and a failing g fails
+    # in O(len(g)) steps, not after filling every row.
+    alpha, rows, gap = (1, 0), 10, 15
+    a = LaurentPolynomial(2, {(s, r): 1 for r in range(rows) for s in range(gap)})
+    g = a * one_minus_monomial(alpha)
+    assert g.term_count() == 2 * rows and gap < g.term_count()
+    checks = []
+    divisible = laurent.divisible_by_binomial
+    monkeypatch.setattr(laurent, "divisible_by_binomial", lambda g, alpha: checks.append(alpha) or divisible(g, alpha))
+    assert div_exact_binomial(g, alpha) == a
+    assert len(checks) == 1
+    checks.clear()
+    failing = g + monomial((0, rows))  # its own row sums to 1
+    with pytest.raises(NonDivisibleError) as err:
+        div_exact_binomial(failing, alpha)
+    assert str(err.value) == "a polynomial of 21 terms is not divisible by 1 - y^[1, 0]"
+    assert len(checks) == 1
+    assert oracle_quotient(tuple_terms(failing), alpha) is None
 
 
 def test_accumulator_subtracts_an_equal_polynomial_held_wider():
