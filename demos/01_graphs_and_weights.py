@@ -12,6 +12,7 @@ from kquadric import (
     check_axial_axioms,
     check_connection_involution,
     check_three_independence,
+    derive_connection,
 )
 from kquadric.linalg import spans_full_lattice
 
@@ -28,10 +29,11 @@ def describe(n):
     for e in ctx.graph.edges_from(1):
         print(f"  {e}: {ctx.graph.axial(*e)}")
 
-    report = check_axial_axioms(ctx.graph, ctx.connection)
+    connection = derive_connection(ctx.graph)
+    report = check_axial_axioms(ctx.graph, connection)
     print(f"axial axioms: {'ok' if report.ok else report.violations}")
     print(f"three-independent: {check_three_independence(ctx.graph)}")
-    print(f"connection involution: {check_connection_involution(ctx.graph, ctx.connection)}")
+    print(f"connection involution: {check_connection_involution(ctx.graph, connection)}")
 
     rows = [ctx.graph.axial(*e) for e in ctx.graph.edges_from(1)]
     print(f"weights at vertex 1 span Z^{ctx.m}: {spans_full_lattice(rows, ctx.m)}")
@@ -39,8 +41,8 @@ def describe(n):
     # The derived connection in action: transport the edges at 1 along (1, 2).
     print("transport along (1, 2):")
     for e_prime in ctx.graph.edges_from(1):
-        target = ctx.connection.transport((1, 2), e_prime)
-        witness = ctx.connection.witness((1, 2), e_prime)
+        target = connection.transport((1, 2), e_prime)
+        witness = connection.witness((1, 2), e_prime)
         print(f"  {e_prime} -> {target}   (integer witness {witness})")
     print()
 

@@ -276,11 +276,6 @@ class LaurentPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return zero(self.m)
-            terms = {key: c * other for key, c in self._terms.items()}
-            return LaurentPolynomial._raw(self.m, terms, self._layout, self._bound)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

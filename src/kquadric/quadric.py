@@ -39,7 +39,7 @@ from __future__ import annotations
 from itertools import product as iter_product
 from typing import Iterable
 
-from .gkm import GkmGraph, VertexMap, derive_connection
+from .gkm import GkmGraph, VertexMap
 from .laurent import (
     LaurentPolynomial,
     ParseError,
@@ -56,13 +56,13 @@ Weight = tuple[int, ...]
 
 
 class QuadricGraph:
-    """Immutable context for one quadric graph: the labeled graph, its derived
-    connection, and the weight data every generator class is built from.
+    """Immutable context for one quadric graph: the labeled graph and the
+    weight data every generator class is built from.
 
     Its one mutable part is the private memo of Thom-class values (see the
     module docstring), filled on first use; it never changes a result."""
 
-    __slots__ = ("n", "m", "vertex_count", "graph", "connection", "_weights", "_zero", "_exit_products", "_exit_keys")
+    __slots__ = ("n", "m", "vertex_count", "graph", "_weights", "_zero", "_exit_products", "_exit_keys")
 
     def __init__(self, n: int):
         if type(n) is not int or n < 1:
@@ -81,7 +81,6 @@ class QuadricGraph:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "connection", derive_connection(graph))
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_zero", zero(m))
         object.__setattr__(self, "_exit_products", {})

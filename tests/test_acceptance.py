@@ -13,6 +13,7 @@ from kquadric.gkm import (
     VertexMap,
     check_axial_axioms,
     check_three_independence,
+    derive_connection,
     is_k_class,
 )
 from kquadric.laurent import monomial, one
@@ -122,9 +123,9 @@ def test_criterion_5_free_module_certificate(capsys):
 def test_criterion_6_structural_checks(capsys):
     started = time.perf_counter()
     for n in (1, 2, 3, 4, 5):
-        ctx = QuadricGraph(n)  # connection derivation happens (and is unique) here
+        ctx = QuadricGraph(n)
         assert check_three_independence(ctx.graph)
-        assert check_axial_axioms(ctx.graph, ctx.connection).ok
+        assert check_axial_axioms(ctx.graph, derive_connection(ctx.graph)).ok
         for v in ctx.vertices:
             rows = [ctx.graph.axial(*e) for e in ctx.graph.edges_from(v)]
             assert spans_full_lattice(rows, ctx.m)

@@ -31,12 +31,14 @@ def test_stubbed_two_pair_run(bench_pairs, monkeypatch, tmp_path):
     calls = []
     checked_out = []
 
-    def run_benchmark(root, workload, seed, seconds, trace):
+    def run_benchmark(root, workload, seed, seconds, trace, env):
         side = "head" if root == bench_pairs.ROOT else "base"
         calls.append((side, workload, seed, seconds, trace))
+        if workload == "all":
+            return {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
         if trace:
             return {"correct": True, "attempted": 4, "failed": 0, "metrics": {"laurent.div.calls": 7}}
-        k = sum(1 for call in calls if call[0] == side and call[4] == 0)  # this side's run count, from 1
+        k = sum(1 for call in calls if call[0] == side and call[1] != "all" and call[4] == 0)  # this side's run count, from 1
         items = (100.0, 104.0)[k - 1] if side == "base" else (120.0, 90.0)[k - 1]
         metrics = {"items_per_s": items, "item_p50_ms": 4.0 if side == "base" else 3.0,
                    "item_p90_ms": 50.0, "peak_rss_mb": 30.0, "setup_s": 0.05}
@@ -49,8 +51,11 @@ def test_stubbed_two_pair_run(bench_pairs, monkeypatch, tmp_path):
                              "--seeds", "3", "--pairs", "2", "--seconds", "1.5"]) == 0
 
     assert checked_out == ["HEAD"]
-    # Pair 0 runs the base first, pair 1 the head; then one traced run per side.
-    assert calls == [("base", "decompose-n4", 3, 1.5, 0), ("head", "decompose-n4", 3, 1.5, 0),
+    # One warm-up run per side; pair 0 runs the base first, pair 1 the head;
+    # then one traced run per side.
+    warm_up = bench_pairs.WARM_UP_S
+    assert calls == [("base", "all", 3, warm_up, 0), ("head", "all", 3, warm_up, 0),
+                     ("base", "decompose-n4", 3, 1.5, 0), ("head", "decompose-n4", 3, 1.5, 0),
                      ("head", "decompose-n4", 3, 1.5, 0), ("base", "decompose-n4", 3, 1.5, 0),
                      ("base", "decompose-n4", 3, 1.5, 1), ("head", "decompose-n4", 3, 1.5, 1)]
 
@@ -77,10 +82,39 @@ def test_stubbed_two_pair_run(bench_pairs, monkeypatch, tmp_path):
     assert entry["traced"]["base"]["metrics"] == {"laurent.div.calls": 7}
 
 
+def test_both_sides_read_bytecode_alike(bench_pairs, monkeypatch, tmp_path):
+    envs = []
+
+    def run_benchmark(root, workload, seed, seconds, trace, env):
+        envs.append(("head" if root == bench_pairs.ROOT else "base", workload, env))
+        metrics = {"items_per_s": 1.0, "item_p50_ms": 1.0, "item_p90_ms": 1.0, "peak_rss_mb": 1.0, "setup_s": 1.0}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench_pairs, "checkout", lambda ref, into: None)
+    monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
+    assert bench_pairs.main(["HEAD", "--out", str(tmp_path / "pairs.json"), "--workloads", "kcheck-n4",
+                             "--pairs", "2"]) == 0
+
+    # Each side warms its own cache, writing, before any measured run.
+    (base_side, _, base_warm), (head_side, _, head_warm), *measured = envs
+    assert [base_side, head_side] == ["base", "head"] and {w for _, w, _ in envs[:2]} == {"all"}
+    cache = {"base": Path(base_warm["PYTHONPYCACHEPREFIX"]), "head": Path(head_warm["PYTHONPYCACHEPREFIX"])}
+    assert cache["base"] != cache["head"] and cache["base"].parent == cache["head"].parent
+    assert not cache["base"].is_relative_to(bench_pairs.ROOT)  # never the working tree's __pycache__
+    assert base_warm["PYTHONDONTWRITEBYTECODE"] == head_warm["PYTHONDONTWRITEBYTECODE"] == ""
+    # Every measured run, traced or not, reads its side's cache and writes nothing.
+    assert len(measured) == 6 and {w for _, w, _ in measured} == {"kcheck-n4"}
+    for side, _, env in measured:
+        assert env["PYTHONPYCACHEPREFIX"] == str(cache[side])
+    rest = [{k: v for k, v in env.items() if k != "PYTHONPYCACHEPREFIX"} for _, _, env in measured]
+    assert rest[0]["PYTHONDONTWRITEBYTECODE"] == "1" and all(r == rest[0] for r in rest)
+
+
 def test_default_workloads_are_the_benchmark_s(bench_pairs, monkeypatch, tmp_path):
     calls = []
 
-    def run_benchmark(root, workload, seed, seconds, trace):
+    def run_benchmark(root, workload, seed, seconds, trace, env):
         calls.append((workload, trace))
         metrics = {"items_per_s": 1.0, "item_p50_ms": 1.0, "item_p90_ms": 1.0, "peak_rss_mb": 1.0, "setup_s": 1.0}
         return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
@@ -92,4 +126,4 @@ def test_default_workloads_are_the_benchmark_s(bench_pairs, monkeypatch, tmp_pat
     spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
     names = [workload["name"] for workload in spec["workloads"]]
     assert list(json.loads(out.read_text())["workloads"]) == names
-    assert calls == [(name, trace) for name in names for trace in (0, 0, 1, 1)]
+    assert calls == [("all", 0), ("all", 0)] + [(name, trace) for name in names for trace in (0, 0, 1, 1)]

@@ -67,7 +67,7 @@ def test_graph_json_round_trip(q2):
 
 
 def test_quadric_passes_axial_axioms(q2):
-    assert check_axial_axioms(q2.graph, q2.connection).ok
+    assert check_axial_axioms(q2.graph, derive_connection(q2.graph)).ok
 
 
 def test_antisymmetry_violation_reported():
@@ -102,11 +102,12 @@ def test_parallel_weights_reported():
 
 def test_connection_shape_mismatch_is_an_error(q1, q2):
     with pytest.raises(ValueError, match="shape"):
-        check_axial_axioms(q2.graph, q1.connection)
+        check_axial_axioms(q2.graph, derive_connection(q1.graph))
 
 
 def test_tampered_witness_reported(q1):
-    maps = {e: q1.connection.star_map(e) for e in q1.connection.edges()}
+    connection = derive_connection(q1.graph)
+    maps = {e: connection.star_map(e) for e in connection.edges()}
     e = (1, 2)
     target, witness = maps[e][(1, 3)]
     maps[e][(1, 3)] = (target, witness + 1)
@@ -118,17 +119,19 @@ def test_tampered_witness_reported(q1):
 
 
 def test_derived_connection_sends_edge_to_reversal(q2):
+    connection = derive_connection(q2.graph)
     for e in q2.graph.edges():
-        assert q2.connection.transport(e, e) == (e[1], e[0])
-        assert q2.connection.witness(e, e) == -2
+        assert connection.transport(e, e) == (e[1], e[0])
+        assert connection.witness(e, e) == -2
 
 
 def test_derived_connection_generic_case(q2):
     # Along (i, j), an edge (i, k) with k neither endpoint nor an antipode of one
     # transports to (j, k) with witness -1.
+    connection = derive_connection(q2.graph)
     e = (1, 2)
-    assert q2.connection.transport(e, (1, 3)) == (2, 3)
-    assert q2.connection.witness(e, (1, 3)) == -1
+    assert connection.transport(e, (1, 3)) == (2, 3)
+    assert connection.witness(e, (1, 3)) == -1
 
 
 def test_derived_connection_antipode_case(q2):
@@ -137,8 +140,9 @@ def test_derived_connection_antipode_case(q2):
     e = (1, 2)
     antipode_j = q2.antipode(2)
     antipode_i = q2.antipode(1)
-    assert q2.connection.transport(e, (1, antipode_j)) == (2, antipode_i)
-    assert q2.connection.witness(e, (1, antipode_j)) == 0
+    connection = derive_connection(q2.graph)
+    assert connection.transport(e, (1, antipode_j)) == (2, antipode_i)
+    assert connection.witness(e, (1, antipode_j)) == 0
 
 
 def test_derivation_fails_without_candidates():
@@ -161,8 +165,8 @@ def test_derivation_fails_on_ambiguity():
 
 
 def test_connection_involution(q1, q2):
-    assert check_connection_involution(q1.graph, q1.connection)
-    assert check_connection_involution(q2.graph, q2.connection)
+    assert check_connection_involution(q1.graph, derive_connection(q1.graph))
+    assert check_connection_involution(q2.graph, derive_connection(q2.graph))
 
 
 # -- three-independence ------------------------------------------------------------
@@ -309,5 +313,6 @@ def connection_preserves_subset(graph, connection, members) -> bool:
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_admissible_subsets_connection_invariant(n, q1, q2, q3):
     ctx = {1: q1, 2: q2, 3: q3}[n]
+    connection = derive_connection(ctx.graph)
     for members in ctx.admissible_subsets():
-        assert connection_preserves_subset(ctx.graph, ctx.connection, members)
+        assert connection_preserves_subset(ctx.graph, connection, members)

@@ -1,5 +1,7 @@
 import pytest
 
+import kquadric.gkm as gkm
+import kquadric.quadric as quadric
 from kquadric.gkm import VertexMap, is_k_class
 from kquadric.laurent import monomial, one
 from kquadric.linalg import spans_full_lattice
@@ -22,6 +24,20 @@ def test_build_rejects_bad_n():
         QuadricGraph(0)
     with pytest.raises(ValueError):
         QuadricGraph(-3)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_context_derives_no_connection(n, monkeypatch):
+    # Classes read only the axial function; the connection is for the axiom checks.
+    def derive_connection(graph):
+        raise AssertionError("a QuadricGraph derived its connection")
+
+    monkeypatch.setattr(gkm, "derive_connection", derive_connection)
+    monkeypatch.setattr(quadric, "derive_connection", derive_connection, raising=False)
+    ctx = QuadricGraph(n)
+    members = ctx.admissible_subsets()[-1]
+    doc = vertex_map_to_json_dict(ctx, thom_class(ctx, members))
+    assert doc["n"] == n and len(doc["values"]) == ctx.vertex_count
 
 
 def test_build_rejects_bool_n():

@@ -10,6 +10,13 @@ workload (on the first seed) records the per-layer metrics.  One benchmark
 process runs at a time.  --workloads defaults to every workload that
 BENCHMARK.json lists.
 
+Both sides load the same kind of bytecode.  Each side has its own cache
+(PYTHONPYCACHEPREFIX) in the temporary directory, so a __pycache__ in the
+working tree is never read; one short `--workload all` run per side fills it
+before the first pair, and the measured runs only read it.  Otherwise the side
+that compiles its modules on every run (as a `git archive` checkout does when
+bytecode writing is off) reads a higher peak RSS.
+
 The JSON written to --out holds every run's metrics and, per workload, seed
 and end-to-end metric, both sides' medians and interquartile ranges
 (statistics.quantiles, method "inclusive"), the ratio head/base of the
@@ -24,6 +31,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shutil
 import signal
 import statistics
@@ -35,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "head")
+WARM_UP_S = 0.1  # each workload still runs its minimum number of requests
 
 
 def git(*args: str) -> str:
@@ -53,12 +62,18 @@ def checkout(ref: str, into: Path) -> None:
     shutil.copytree(ROOT / "benchmarks", into / "benchmarks", ignore=shutil.ignore_patterns("__pycache__"))
 
 
-def run_benchmark(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def bytecode_env(cache: Path, write: bool) -> dict[str, str]:
+    """The environment of a run on one side: bytecode lives in `cache` and is
+    written there only when `write` (an empty PYTHONDONTWRITEBYTECODE is unset)."""
+    return {**os.environ, "PYTHONPYCACHEPREFIX": str(cache), "PYTHONDONTWRITEBYTECODE": "" if write else "1"}
+
+
+def run_benchmark(root: Path, workload: str, seed: int, seconds: float, trace: int, env: dict[str, str]) -> dict:
     """One run of benchmarks/run.py in `root`: its last stdout line, parsed,
     with each metric reduced to its value."""
     command = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(command, cwd=root, capture_output=True, text=True)
+    proc = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(command)} in {root} exited with {proc.returncode}:\n{proc.stderr[-2000:]}")
     result = json.loads(proc.stdout.splitlines()[-1])
@@ -118,15 +133,20 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "pairs_per_seed": args.pairs,
         "method": "pair k runs the base first when k is even, the head first when k is odd; "
-                  "both sides run the head's benchmarks/; one benchmark process at a time",
+                  "both sides run the head's benchmarks/; each side reads its own bytecode cache, "
+                  "filled by one warm-up run before the first pair; one benchmark process at a time",
         "workloads": {},
     }
     # SIGTERM exits through the with block below, so the base checkout is removed
     # and subprocess.run kills the benchmark process it is waiting for.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
-        roots = {"base": Path(scratch), "head": ROOT}
+        roots = {"base": Path(scratch) / "base", "head": ROOT}
         checkout(args.base_ref, roots["base"])
+        caches = {side: Path(scratch) / "pycache" / side for side in SIDES}
+        envs = {side: bytecode_env(caches[side], write=False) for side in SIDES}
+        for side in SIDES:
+            run_benchmark(roots[side], "all", seeds[0], WARM_UP_S, 0, bytecode_env(caches[side], write=True))
         for workload in workloads:
             entry = record["workloads"][workload] = {"seeds": {}}
             for seed in seeds:
@@ -135,14 +155,14 @@ def main(argv=None) -> int:
                     order = SIDES if k % 2 == 0 else SIDES[::-1]
                     pair = {"first": order[0]}
                     for side in order:
-                        pair[side] = run_benchmark(roots[side], workload, seed, args.seconds, 0)
+                        pair[side] = run_benchmark(roots[side], workload, seed, args.seconds, 0, envs[side])
                         print(f"{workload} seed {seed} pair {k} {side}: "
                               f"items_per_s {pair[side]['metrics']['items_per_s']:.6g}", file=sys.stderr)
                     pairs.append(pair)
                 entry["seeds"][str(seed)] = {"pairs": pairs, "summary": summarize(pairs, better)}
             entry["traced"] = {"seed": seeds[0]}
             for side in SIDES:
-                entry["traced"][side] = run_benchmark(roots[side], workload, seeds[0], args.seconds, 1)
+                entry["traced"][side] = run_benchmark(roots[side], workload, seeds[0], args.seconds, 1, envs[side])
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
