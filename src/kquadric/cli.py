@@ -71,10 +71,12 @@ def _from_input(build, *args, **kwargs):
 # C(2n + 1 + 3^(n+1), s) candidate families, and checks and renders each one
 # with an empty intersection into an output built whole before it is
 # written.  The family bound is set per n to the largest b whose `verify`
-# took at most 15 s (median) and 600 MB on the same machine: 0.2, 9.7, 14.7,
-# 13.3, 2.6 and 13.5 s, and at most 515 MB, for n = 1..6; b + 1 took over
-# 15 s for n = 2..6, and b = 12 reaches every family at n = 1.  At n = 7 even
-# b = 0 takes over 25 s, so `verify` has no entry for n = 7 or 8.
+# took at most 15 s (median) and 600 MB on the same machine; b + 1 took over
+# 15 s for n = 2..6, and b = 12 reaches every family at n = 1.  Since the
+# families are decided from one mask table per sweep, `verify` at these
+# bounds takes 0.2, 6.6, 8.3, 7.3, 1.8 and 11.0 s (medians of 3; 0.2, 8.5,
+# 13.1, 10.5, 2.0 and 12.4 s before), and at most 515 MB, for n = 1..6.  At
+# n = 7 even b = 0 took over 25 s, so `verify` has no entry for n = 7 or 8.
 # `selfcheck` sweeps every n up to --max-n at b = 3.
 MAX_N = 8
 MAX_EXPONENT_BY_N = {1: 256, 2: 64, 3: 26, 4: 19, 5: 16, 6: 15, 7: 15, 8: 14}

@@ -22,24 +22,27 @@ plus the generator identity that recovers each ring variable y_i as
 the generator identities are identities of vertex maps.
 
 `iter_checks` is the one sweep: it runs every instance of 2-4 and the
-generator identities, runs family 1 exhaustively up to a size bound
-(filtering candidate families by an AND of member masks) and on
+generator identities, runs family 1 exhaustively up to a size bound and on
 `RANDOM_FAMILY_COUNT` seeded random families, and yields one `CheckRecord`
 per instance (checks never raise on a failed identity, only on malformed
-parameters).  Callers consume the records as they come:
-`RelationStream.render` turns them into the report's JSON text and keeps
-only the counts, and a tally needs no more than a `Counter`.
+parameters).  Family 1 is decided from a table built once per sweep, which
+holds each index set's member mask, zero mask and sorted member list: the
+prefix of a candidate family is ANDed and ORed once, and each last member
+then costs one AND to skip the candidate or one OR to decide it.
+`check_product_vanishing` is the checked entry point for a single family,
+and the oracle the sweep is tested against.  Callers consume the records as
+they come: `RelationStream.render` turns them into the report's JSON text
+and keeps only the counts, and a tally needs no more than a `Counter`.
 """
 from __future__ import annotations
 
 import json
 import random
-from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 from .gkm import VertexMap
-from .laurent import monomial, one
+from .laurent import monomial, one, zero
 from .quadric import (
     QuadricGraph,
     _vertex_mask,
@@ -54,9 +57,9 @@ class ClassProvider:
 
     Overrides exist for fault injection: tests replace, say, the monomial
     class at one vertex with a corrupted copy and watch the relation suite
-    name it in a failure.  Each index set's member and zero masks are cached
-    here too; the zero masks are read from the generators, so an override
-    drops the mask cache.
+    name it in a failure.  Each 1 - (monomial class at v) and each index
+    set's member and zero masks are cached here too; they are read from the
+    generators, so an override drops what it changes.
     """
 
     def __init__(self, ctx: QuadricGraph):
@@ -69,6 +72,8 @@ class ClassProvider:
             raise ValueError(f"unknown class kind {kind!r}")
         key = frozenset(key) if kind == "Delta" else int(key)
         self._cache[(kind, key)] = vm
+        if kind == "M":
+            self._cache.pop(("1-M", key), None)
         self._masks.clear()
 
     def _lookup(self, kind: str, key, build, *args) -> VertexMap:
@@ -83,6 +88,10 @@ class ClassProvider:
     def monomial_inverse(self, v: int) -> VertexMap:
         return self._lookup("Minv", v, monomial_class, True)
 
+    def one_minus_monomial(self, v: int) -> VertexMap:
+        """1 - (monomial class at v), the class supported off v."""
+        return self._lookup("1-M", v, lambda ctx, v: 1 - self.monomial(v))
+
     def thom(self, members) -> VertexMap:
         return self._lookup("Delta", frozenset(members), thom_class)
 
@@ -94,7 +103,7 @@ class ClassProvider:
         everything = frozenset(self.ctx.vertices)
         if len(members) == self.ctx.vertex_count - 1 and members < everything:
             (v,) = everything - members
-            return 1 - self.monomial(v)
+            return self.one_minus_monomial(v)
         if self.ctx.is_admissible(members):
             return self.thom(members)
         raise ValueError(
@@ -168,7 +177,7 @@ def check_complete_set_split(ctx, members, provider=None) -> bool:
     complement = frozenset(ctx.vertices) - members
     lhs = VertexMap.constant(ctx.vertices, one(ctx.m))
     for i in sorted(members):
-        lhs = lhs * (1 - provider.monomial(i))
+        lhs = lhs * provider.one_minus_monomial(i)
     rhs = provider.thom(complement - {b}) + provider.monomial(b) * provider.thom(
         complement - {b_bar}
     )
@@ -183,7 +192,11 @@ def check_peeling(ctx, members, i, provider=None) -> bool:
         raise ValueError(f"vertex {i} is not in {sorted(members)}")
     if len(members) < 2:
         raise ValueError("peeling needs at least two members")
-    lhs = provider.thom(members) * (1 - provider.monomial(i))
+    factor, nothing = provider.one_minus_monomial(i), zero(ctx.m)
+    # Z[y^±1] is a domain: the product is zero wherever a factor is, so it is
+    # multiplied out only at the other vertices.
+    thom = provider.thom(members).values
+    lhs = VertexMap({v: p * factor[v] if p and factor[v] else nothing for v, p in thom.items()})
     return lhs == provider.thom(members - {i})
 
 
@@ -247,6 +260,19 @@ ALL_KINDS = (
 RANDOM_FAMILY_COUNT = 100  # seeded random product-vanishing families per sweep
 
 
+class _ZeroMasks(dict):
+    """Position in `universe` -> zero mask of that index set, read through
+    `provider.masks` when a family first needs it."""
+
+    def __init__(self, provider: ClassProvider, universe: list[frozenset[int]]):
+        super().__init__()
+        self.provider, self.universe = provider, universe
+
+    def __missing__(self, k: int) -> int:
+        mask = self[k] = self.provider.masks(self.universe[k])[1]
+        return mask
+
+
 def iter_checks(
     ctx,
     family_size_bound: int = 3,
@@ -260,8 +286,9 @@ def iter_checks(
     (admissible P, i in P) with |P| > 1, all admissible I of size n, and all
     distinct empty-intersection families of at most `family_size_bound` index
     sets; plus `RANDOM_FAMILY_COUNT` seeded random families (any size,
-    duplicates allowed).  Each family is decided by one call of
-    `check_product_vanishing`.
+    duplicates allowed).  Families are decided from a table of masks built
+    once per sweep: the answer of `check_product_vanishing`, without its
+    argument checks.  Records share one member list per index set.
     """
     provider = provider or ClassProvider(ctx)
 
@@ -299,28 +326,45 @@ def iter_checks(
             )
 
     if "product_vanishing" in kinds:
+        # The sweep's table, one entry per position of `universe`: the member
+        # mask, the zero mask (read through the provider on first use, so an
+        # override counts), and the rank of the member list in sorted order.
         universe = support_index_sets(ctx)
-        sorted_members = {j: sorted(j) for j in universe}  # shared by the records
-        member_mask = {j: _vertex_mask(j) for j in universe}
+        count = len(universe)
+        member_mask = [_vertex_mask(j) for j in universe]
+        zero_mask = _ZeroMasks(provider, universe)
+        lists = [sorted(j) for j in universe]  # shared by the records
+        order = sorted(range(count), key=lists.__getitem__)
+        by_rank = [lists[k] for k in order]
+        rank = sorted(range(count), key=order.__getitem__)  # the inverse permutation of `order`
+        full = (1 << ctx.vertex_count) - 1
         for size in range(1, family_size_bound + 1):
-            for family in combinations(universe, size):
-                common = -1
-                for j in family:
-                    common &= member_mask[j]
-                if common:
-                    continue
-                yield CheckRecord(
-                    "product_vanishing",
-                    {"family": sorted([sorted_members[j] for j in family])},
-                    check_product_vanishing(ctx, family, provider),
-                )
+            for prefix in combinations(range(count), size - 1):
+                common, zeros = -1, 0
+                for k in prefix:
+                    common &= member_mask[k]
+                    zeros |= zero_mask[k]
+                head = [rank[k] for k in prefix]
+                for last in range(prefix[-1] + 1 if prefix else 0, count):
+                    if common & member_mask[last]:
+                        continue
+                    ranks = sorted(head + [rank[last]])
+                    yield CheckRecord(
+                        "product_vanishing",
+                        {"family": [by_rank[r] for r in ranks]},
+                        zeros | zero_mask[last] == full,
+                    )
+        position = {j: k for k, j in enumerate(universe)}
         rng = random.Random(seed)
         for _ in range(RANDOM_FAMILY_COUNT):
-            family = random_empty_intersection_family(ctx, rng, universe)
+            family = [position[j] for j in random_empty_intersection_family(ctx, rng, universe)]
+            zeros = 0
+            for k in family:
+                zeros |= zero_mask[k]
             yield CheckRecord(
                 "product_vanishing",
-                {"family": sorted([sorted_members[j] for j in family]), "random": True},
-                check_product_vanishing(ctx, family, provider),
+                {"family": [by_rank[r] for r in sorted(rank[k] for k in family)], "random": True},
+                zeros == full,
             )
 
 
@@ -345,8 +389,9 @@ class RelationStream:
         {"pass", "fail"}}``, but no record or dict is kept: each record
         becomes one string.  Params of the form ``{"family": [...]}`` or
         ``{"family": [...], "random": true}`` are assembled from templates
-        and from each index set's member list, encoded once per call; any
-        other params go through the JSON encoder.
+        and from each member list's text, encoded once per distinct list
+        object (the records of one sweep share them); any other params go
+        through the JSON encoder.
         """
         if pretty:
             nl = ["\n" + "  " * depth for depth in range(7)]  # newline and indent per depth
@@ -364,7 +409,18 @@ class RelationStream:
         def key(name: str, depth: int) -> str:
             return f'{nl[depth]}"{name}"{colon}'
 
-        members = cache(lambda j: encode(j, 5))  # keyed by content: records reuse the lists
+        # Records share their member lists, so each list's text is memoized
+        # by the list's identity; the entry holds the list, so its id is not
+        # reused while the memo lives, and the memo grows only with the
+        # distinct lists.
+        member_texts: dict[int, tuple[list, str]] = {}
+
+        def member_text(members: list) -> str:
+            entry = member_texts.get(id(members))
+            if entry is None:
+                entry = member_texts[id(members)] = (members, encode(members, 5))
+            return entry[1]
+
         member_sep = "," + nl[5]
         heads: dict[str, tuple[str, str]] = {}  # kind -> (up to the params, up to the first member)
         pass_tail = {b: f",{key('pass', 3)}{encode(b, 0)}{nl[2]}}}" for b in (False, True)}
@@ -386,7 +442,7 @@ class RelationStream:
             shape = tuple(params)
             family = params.get("family")
             if family and (shape == ("family",) or (shape == ("family", "random") and params["random"] is True)):
-                text = member_sep.join(map(members, map(tuple, family)))
+                text = member_sep.join(map(member_text, family))
                 checks.append(head[1] + text + family_tail[len(shape) == 2, passed])
             else:
                 checks.append(head[0] + encode(params, 3) + pass_tail[passed])

@@ -1,11 +1,12 @@
 import json
 import random
+import tracemalloc
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 from types import SimpleNamespace
 
 import pytest
 
-import kquadric.relations as relations
 from kquadric.gkm import VertexMap
 from kquadric.laurent import monomial, one
 from kquadric.quadric import QuadricGraph, monomial_class, thom_class
@@ -124,7 +125,7 @@ def test_zero_sets_agree_with_expanded_products(n, corruption):
     assert check_product_vanishing(ctx, family, provider) == (corruption == "none")
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("corruption", ["none", "missing_vertex", "off_support"])
 def test_verify_all_decides_product_vanishing_as_the_checked_function(n, corruption):
     ctx = QuadricGraph(n)
@@ -148,18 +149,18 @@ def test_override_after_a_sweep_drops_cached_supported_classes(q1):
     assert records == list(iter_checks(q1, seed=3, provider=fresh))
 
 
-def test_verify_all_decides_every_family_through_check_product_vanishing(monkeypatch):
-    calls = []
-    original = relations.check_product_vanishing
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(relations, "check_product_vanishing", counted)
-    records = iter_checks(QuadricGraph(2), seed=3)
-    families = [r for r in records if r.kind == "product_vanishing"]
-    assert families and len(calls) == len(families)
+def test_sweep_streams_in_constant_memory():
+    # 72,652 records at n = 3, almost all product-vanishing families: a sweep
+    # that collected them, or built a tuple per candidate family, would
+    # allocate far more than this bound.
+    tracemalloc.start()
+    try:
+        outcomes = Counter(r.passed for r in iter_checks(QuadricGraph(3)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcomes == {True: 72_652}
+    assert peak < 4 * 2**20, peak
 
 
 def oracle_product_vanishing_records(ctx, bound, random_count, seed, provider):
@@ -330,6 +331,28 @@ def test_peel_parameter_validation(q1):
         check_peeling(q1, {3, 4}, 1)  # i not in the set
     with pytest.raises(ValueError):
         check_peeling(q1, {3}, 3)  # too small
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("corruption", ["none", "missing_vertex", "off_support"])
+def test_peeling_agrees_with_the_full_product(n, corruption):
+    ctx = QuadricGraph(n)
+    provider = corrupted_provider(ctx, corruption)
+    outcomes = []
+    for members in ctx.admissible_subsets():
+        for i in sorted(members) if len(members) > 1 else ():
+            product = provider.thom(members) * (1 - provider.monomial(i))
+            outcomes.append(product == provider.thom(members - {i}))
+            assert check_peeling(ctx, members, i, provider) == outcomes[-1], (members, i)
+    assert all(outcomes) == (corruption == "none")
+
+
+def test_override_drops_the_cached_one_minus_monomial(q1):
+    provider = ClassProvider(q1)
+    assert check_peeling(q1, {3, 4}, 3, provider)
+    m = monomial_class(q1, 3)
+    provider.override("M", 3, changed_at(m, 3, m[3] * 2))  # 1 - M_3 is -1 at vertex 3
+    assert not check_peeling(q1, {3, 4}, 3, provider)
 
 
 def test_peel_chains(q3):
