@@ -4,14 +4,17 @@ Results are JSON on stdout (or a file named with --out); diagnostics go to
 stderr.  Exit status 0 means success / all checks passed, 1 means a
 verification failed or a check came out negative, 2 means a usage or I/O
 error; an internal fault is not a usage error and ends in a traceback.
-Output is byte-identical for identical flags and seed; --pretty only adds
-whitespace.  A request outside a stated bound (--n at most `MAX_N`; for
-`verify`, --n an n of `MAX_FAMILY_BOUND_BY_N` and --family-bound from 0 to
-its entry; --max-n from 1 to `MAX_SELFCHECK_N`; --trials from 1 to
-`MAX_TRIALS`) is refused with exit status 2 before any graph is built; a
-`decompose` input with an exponent of absolute value above
-`MAX_EXPONENT_BY_N[n]` is refused with exit status 2 before it is
-decomposed.
+`verify` writes its report a chunk at a time as the sweep makes it, so an
+internal fault part-way through the sweep leaves the chunks written so far (a
+truncated document with no summary) before the traceback; every other
+command writes its whole document at once.  Output is byte-identical for
+identical flags and seed; --pretty only adds whitespace.  A request outside
+a stated bound (--n at most `MAX_N`; for `verify`, --n an n of
+`MAX_FAMILY_BOUND_BY_N` and --family-bound from 0 to its entry; --max-n from
+1 to `MAX_SELFCHECK_N`; --trials from 1 to `MAX_TRIALS`) is refused with
+exit status 2 before any graph is built; a `decompose` input with an
+exponent of absolute value above `MAX_EXPONENT_BY_N[n]` is refused with exit
+status 2 before it is decomposed.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from contextlib import contextmanager
 
 from .decompose import (
     NotAKClassError,
@@ -68,15 +72,17 @@ def _from_input(build, *args, **kwargs):
 # with Python 3.11.
 #
 # `verify` with family bound b enumerates the sum over s <= b of
-# C(2n + 1 + 3^(n+1), s) candidate families, and checks and renders each one
-# with an empty intersection into an output built whole before it is
-# written.  The family bound is set per n to the largest b whose `verify`
-# took at most 15 s (median) and 600 MB on the same machine; b + 1 took over
-# 15 s for n = 2..6, and b = 12 reaches every family at n = 1.  Since the
-# families are decided from one mask table per sweep, `verify` at these
-# bounds takes 0.2, 6.6, 8.3, 7.3, 1.8 and 11.0 s (medians of 3; 0.2, 8.5,
-# 13.1, 10.5, 2.0 and 12.4 s before), and at most 515 MB, for n = 1..6.  At
-# n = 7 even b = 0 took over 25 s, so `verify` has no entry for n = 7 or 8.
+# C(2n + 1 + 3^(n+1), s) candidate families, checks each one with an empty
+# intersection, and writes the report a chunk of records at a time.  The
+# family bound is set per n to the largest b whose `verify` took at most
+# 15 s (median) and 600 MB on the same machine, when the report was still
+# built whole before it was written; b + 1 took over 15 s for n = 2..6, and
+# b = 12 reaches every family at n = 1.  Written in chunks, `verify` at these
+# bounds takes 0.2, 6.0, 7.0, 5.2, 1.4 and 9.6 s and peaks at 18, 19, 19, 20,
+# 35 and 152 MB RSS for n = 1..6 (medians of 3, output to /dev/null; 0.1,
+# 6.6, 10.4, 7.8, 1.9 and 12.4 s and up to 515 MB when built whole); at
+# n = 6 the memory is the generator classes', not the report's.  At n = 7
+# even b = 0 took over 25 s, so `verify` has no entry for n = 7 or 8.
 # `selfcheck` sweeps every n up to --max-n at b = 3.
 MAX_N = 8
 MAX_EXPONENT_BY_N = {1: 256, 2: 64, 3: 26, 4: 19, 5: 16, 6: 15, 7: 15, 8: 14}
@@ -109,25 +115,33 @@ def _check_limits(args) -> None:
 
 
 def _dump(doc, pretty: bool) -> str:
-    """The text written for `doc`: a JSON document, or a relation stream
-    rendered as one."""
-    if isinstance(doc, RelationStream):
-        return doc.render(pretty)
+    """The text written for the JSON document `doc`."""
     if pretty:
         return json.dumps(doc, indent=2) + "\n"
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
+@contextmanager
+def _target(args):
+    """The write function of the command's output: that of the --out file,
+    opened on entry, or of stdout as it is on entry.  An OSError raised
+    while the file is open, by opening, writing or closing it, is a usage
+    error."""
+    path = getattr(args, "out", None)
+    if not path:
+        yield sys.stdout.write
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle.write
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
 def _write(doc, args) -> None:
     text = _dump(doc, args.pretty)
-    if getattr(args, "out", None):
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.out}: {exc}") from None
-    else:
-        sys.stdout.write(text)
+    with _target(args) as write:
+        write(text)
 
 
 def _load_vertex_map(ctx: QuadricGraph, path: str):
@@ -207,15 +221,21 @@ _RELATION_FLAG_TO_KINDS = {
 
 
 def _cmd_verify(args) -> int:
+    # The target is opened before the sweep starts, and each chunk of the
+    # report is written as soon as it is made, so at most one chunk of text
+    # is held.  An internal fault part-way leaves the chunks written so far:
+    # a truncated document without its summary, then a traceback.
     ctx = _from_input(QuadricGraph, args.n)
-    records = iter_checks(
-        ctx,
-        family_size_bound=args.family_bound,
-        seed=args.seed,
-        kinds=_RELATION_FLAG_TO_KINDS[args.relations],
-    )
-    stream = RelationStream(ctx.n, records)
-    _write(stream, args)  # renders the whole text before writing any of it
+    with _target(args) as write:
+        records = iter_checks(
+            ctx,
+            family_size_bound=args.family_bound,
+            seed=args.seed,
+            kinds=_RELATION_FLAG_TO_KINDS[args.relations],
+        )
+        stream = RelationStream(ctx.n, records)
+        for chunk in stream.chunks(args.pretty):
+            write(chunk)
     return 1 if stream.fail_count else 0
 
 

@@ -31,8 +31,10 @@ prefix of a candidate family is ANDed and ORed once, and each last member
 then costs one AND to skip the candidate or one OR to decide it.
 `check_product_vanishing` is the checked entry point for a single family,
 and the oracle the sweep is tested against.  Callers consume the records as
-they come: `RelationStream.render` turns them into the report's JSON text
-and keeps only the counts, and a tally needs no more than a `Counter`.
+they come: `RelationStream.chunks` turns them into the report's JSON text,
+`CHUNK_RECORDS` records at a time, and keeps only the counts (a fault in the
+sweep ends the text after the chunks already made, without the summary), and
+a tally needs no more than a `Counter`.
 """
 from __future__ import annotations
 
@@ -338,6 +340,10 @@ def iter_checks(
         by_rank = [lists[k] for k in order]
         rank = sorted(range(count), key=order.__getitem__)  # the inverse permutation of `order`
         full = (1 << ctx.vertex_count) - 1
+        # The loop's per-record calls are bound C methods, so a record costs
+        # no Python frame: the record is built by `tuple.__new__`, not by the
+        # NamedTuple's Python-level `__new__`.
+        member_list, new_record = by_rank.__getitem__, tuple.__new__
         for size in range(1, family_size_bound + 1):
             for prefix in combinations(range(count), size - 1):
                 common, zeros = -1, 0
@@ -348,11 +354,15 @@ def iter_checks(
                 for last in range(prefix[-1] + 1 if prefix else 0, count):
                     if common & member_mask[last]:
                         continue
-                    ranks = sorted(head + [rank[last]])
-                    yield CheckRecord(
-                        "product_vanishing",
-                        {"family": [by_rank[r] for r in ranks]},
-                        zeros | zero_mask[last] == full,
+                    ranks = head + [rank[last]]
+                    ranks.sort()
+                    yield new_record(
+                        CheckRecord,
+                        (
+                            "product_vanishing",
+                            {"family": list(map(member_list, ranks))},
+                            zeros | zero_mask[last] == full,
+                        ),
                     )
         position = {j: k for k, j in enumerate(universe)}
         rng = random.Random(seed)
@@ -368,11 +378,17 @@ def iter_checks(
             )
 
 
+CHUNK_RECORDS = 4096  # records per text chunk of `RelationStream.chunks`
+
+
 class RelationStream:
-    """The records of one sweep, consumed once by `render`.
+    """The records of one sweep, consumed once by `chunks` (or `render`).
 
     Only the counts outlive the rendering: `pass_count` and `fail_count` are
-    set when `render` returns.
+    set once the last chunk has been made.  The summary follows the last
+    record, so a fault raised by the records part-way (an internal fault of
+    the sweep) ends the text after the chunks made so far: a truncated
+    document, not valid JSON, with the counts left at 0.
     """
 
     def __init__(self, n: int, records: Iterable[CheckRecord]):
@@ -381,17 +397,25 @@ class RelationStream:
         self.pass_count = self.fail_count = 0
 
     def render(self, pretty: bool = False) -> str:
-        """The report's JSON text and a newline.
+        """The whole text of `chunks`, joined.  A fault raised by the records
+        propagates, and no text is returned."""
+        return "".join(self.chunks(pretty))
+
+    def chunks(self, pretty: bool = False) -> Iterator[str]:
+        """The report's JSON text and a newline, in chunks of `CHUNK_RECORDS`
+        records each; the last chunk holds the rest and closes the document.
 
         The text is exactly what ``json.dumps`` gives (compact separators, or
         ``indent=2`` when `pretty`) for the document
         ``{"n", "checks": [{"kind", "params", "pass"}, ...], "summary":
         {"pass", "fail"}}``, but no record or dict is kept: each record
-        becomes one string.  Params of the form ``{"family": [...]}`` or
-        ``{"family": [...], "random": true}`` are assembled from templates
-        and from each member list's text, encoded once per distinct list
-        object (the records of one sweep share them); any other params go
-        through the JSON encoder.
+        becomes one string, and a chunk's strings are dropped once it is
+        made.  Params of the form ``{"family": [...]}`` or ``{"family":
+        [...], "random": true}`` are assembled from templates and from each
+        member list's text, encoded once per distinct list object (the
+        records of one sweep share them); any other params go through the
+        JSON encoder.  A fault raised by the records propagates from the
+        chunk it interrupts; the chunks made before it stay made.
         """
         if pretty:
             nl = ["\n" + "  " * depth for depth in range(7)]  # newline and indent per depth
@@ -410,49 +434,57 @@ class RelationStream:
             return f'{nl[depth]}"{name}"{colon}'
 
         # Records share their member lists, so each list's text is memoized
-        # by the list's identity; the entry holds the list, so its id is not
+        # by the list's identity.  `kept` holds every list seen, so no id is
         # reused while the memo lives, and the memo grows only with the
         # distinct lists.
-        member_texts: dict[int, tuple[list, str]] = {}
-
-        def member_text(members: list) -> str:
-            entry = member_texts.get(id(members))
-            if entry is None:
-                entry = member_texts[id(members)] = (members, encode(members, 5))
-            return entry[1]
-
+        texts: dict[int, str] = {}
+        kept: list[list] = []
+        member_texts = texts.__getitem__
         member_sep = "," + nl[5]
         heads: dict[str, tuple[str, str]] = {}  # kind -> (up to the params, up to the first member)
         pass_tail = {b: f",{key('pass', 3)}{encode(b, 0)}{nl[2]}}}" for b in (False, True)}
+        # The text after the last member, by the number of params (1, or 2
+        # with "random": true), then by the outcome.
         family_tail = {
-            (random_flag, b): nl[4] + "]" + (f",{key('random', 4)}true" if random_flag else "")
-            + nl[3] + "}" + pass_tail[b]
-            for random_flag in (False, True)
-            for b in (False, True)
+            size: [nl[4] + "]" + flag + nl[3] + "}" + pass_tail[b] for b in (False, True)]
+            for size, flag in ((1, ""), (2, f",{key('random', 4)}true"))
         }
 
-        checks = []
-        passes = 0
+        record_sep = "," + nl[2]
+        opening = "{" + key("n", 1) + encode(self.n, 1) + "," + key("checks", 1)
+        lead = opening + "[" + nl[2]  # what precedes the next chunk's first record
+        batch: list[str] = []  # the texts of the next chunk's records
+        passes = count = 0
         for kind, params, passed in self.records:
             passes += passed
             head = heads.get(kind)
             if head is None:
                 plain = "{" + key("kind", 3) + encode(kind, 0) + "," + key("params", 3)
                 head = heads[kind] = (plain, plain + "{" + key("family", 4) + "[" + nl[5])
-            shape = tuple(params)
             family = params.get("family")
-            if family and (shape == ("family",) or (shape == ("family", "random") and params["random"] is True)):
-                text = member_sep.join(map(member_text, family))
-                checks.append(head[1] + text + family_tail[len(shape) == 2, passed])
+            size = len(params)
+            if family and (size == 1 or (tuple(params) == ("family", "random") and params["random"] is True)):
+                try:
+                    text = member_sep.join(map(member_texts, map(id, family)))
+                except KeyError:  # a member list not seen before
+                    for members in family:
+                        if id(members) not in texts:
+                            kept.append(members)
+                            texts[id(members)] = encode(members, 5)
+                    text = member_sep.join(map(member_texts, map(id, family)))
+                batch.append(head[1] + text + family_tail[size][passed])
             else:
-                checks.append(head[0] + encode(params, 3) + pass_tail[passed])
+                batch.append(head[0] + encode(params, 3) + pass_tail[passed])
+            if len(batch) == CHUNK_RECORDS:
+                yield lead + record_sep.join(batch)
+                count += CHUNK_RECORDS
+                batch.clear()
+                lead = record_sep
 
-        self.pass_count, self.fail_count = passes, len(checks) - passes
-        opening = "{" + key("n", 1) + encode(self.n, 1) + "," + key("checks", 1)
+        count += len(batch)
+        self.pass_count, self.fail_count = passes, count - passes
         closing = "," + key("summary", 1) + encode({"pass": passes, "fail": self.fail_count}, 1) + nl[0] + "}\n"
-        if not checks:
-            return opening + "[]" + closing
-        # One join builds the text: a large report is not copied again.
-        checks[0] = opening + "[" + nl[2] + checks[0]
-        checks[-1] += nl[1] + "]" + closing
-        return ("," + nl[2]).join(checks)
+        if not count:
+            yield opening + "[]" + closing
+        else:
+            yield (lead + record_sep.join(batch) if batch else "") + nl[1] + "]" + closing

@@ -8,7 +8,7 @@ from kquadric import QuadricGraph
 
 # Every test fails once it has run this long, so a computation that never ends
 # (say, a division whose fill is never capped) fails the suite instead of
-# hanging it.  The slowest test takes about 4 s; the limit leaves room for a
+# hanging it.  The slowest test takes about 9 s; the limit leaves room for a
 # machine several times slower.
 TEST_TIME_LIMIT_S = 60.0
 

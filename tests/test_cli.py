@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from kquadric.quadric import (
     monomial_class,
     vertex_map_to_json_dict,
 )
+from kquadric.relations import CHUNK_RECORDS, RelationStream, iter_checks
 
 
 def run(capsys, *argv):
@@ -380,6 +384,7 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
 
 
 def test_fault_partway_through_the_sweep_writes_nothing(capsys, monkeypatch):
+    # Ten records are fewer than one chunk, so no text has been written yet.
     original = cli_module.iter_checks
     yielded = []
 
@@ -394,6 +399,92 @@ def test_fault_partway_through_the_sweep_writes_nothing(capsys, monkeypatch):
     with pytest.raises(ValueError, match="internal fault"):
         main(["verify", "--n", "1"])
     assert len(yielded) == 10
+    assert capsys.readouterr() == ("", "")
+
+
+def test_fault_after_a_chunk_leaves_the_chunks_written_so_far(capsys, monkeypatch):
+    original = cli_module.iter_checks
+
+    def broken(*args, **kwargs):
+        for index, record in enumerate(original(*args, **kwargs)):
+            if index == CHUNK_RECORDS + 10:
+                raise ValueError("internal fault")
+            yield record
+
+    monkeypatch.setattr(cli_module, "iter_checks", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["verify", "--n", "3"])
+    out, err = capsys.readouterr()
+    report = RelationStream(3, iter_checks(QuadricGraph(3))).render()
+    assert err == ""
+    assert 0 < len(out) < len(report) and report.startswith(out)
+    assert out.count('"kind"') == CHUNK_RECORDS
+
+
+class HashingStdout:
+    """A stdout that hashes the text it is given and keeps none of it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.digest.update(text.encode())
+        self.writes += 1
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_verify_writes_its_report_in_bounded_memory(monkeypatch):
+    expected = hashlib.sha256(RelationStream(3, iter_checks(QuadricGraph(3))).render().encode()).hexdigest()
+    sink = HashingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--n", "3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2**20, peak
+    assert sink.digest.hexdigest() == expected
+    assert sink.writes > 1
+
+
+def verify_args(*argv, out):
+    """Parsed `verify` arguments with an --out target.  `verify` declares no
+    --out, but its output goes through the same `_target` as every command's,
+    which honours one."""
+    args = cli_module.build_parser().parse_args(["verify", *argv])
+    args.out = out
+    return args
+
+
+def test_verify_opens_its_target_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the target was opened")
+
+    monkeypatch.setattr(cli_module, "iter_checks", no_sweep)
+    path = tmp_path / "missing" / "report.json"
+    with pytest.raises(cli_module.UsageError, match=f"^cannot write {path}: "):
+        cli_module._cmd_verify(verify_args("--n", "1", out=str(path)))
+    assert capsys.readouterr() == ("", "")
+    assert not path.exists()
+
+
+def test_verify_streams_into_its_target(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert cli_module._cmd_verify(verify_args("--n", "2", "--pretty", out=str(path))) == 0
+    assert path.read_text(encoding="utf-8") == RelationStream(2, iter_checks(QuadricGraph(2))).render(pretty=True)
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses every write")
+def test_write_error_while_streaming_is_a_usage_error(capsys):
+    with pytest.raises(cli_module.UsageError, match="^cannot write /dev/full: "):
+        cli_module._cmd_verify(verify_args("--n", "2", out="/dev/full"))
     assert capsys.readouterr() == ("", "")
 
 

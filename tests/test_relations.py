@@ -12,6 +12,7 @@ from kquadric.laurent import monomial, one
 from kquadric.quadric import QuadricGraph, monomial_class, thom_class
 from kquadric.relations import (
     ALL_KINDS,
+    CHUNK_RECORDS,
     CheckRecord,
     ClassProvider,
     RelationStream,
@@ -535,3 +536,32 @@ def test_render_encodes_other_params_and_repeated_member_lists(pretty):
     assert (stream.pass_count, stream.fail_count) == (4, 3)
     empty = RelationStream(0, iter(()))
     assert empty.render(pretty) == dumped(report_json_dict(0, []), pretty)
+
+
+def synthetic_records(count):
+    """`count` records that cycle through a family, a random family and other
+    params, sharing their member lists, with alternating outcomes."""
+    first, second = [1, 2], [3]
+    shapes = [
+        ("product_vanishing", {"family": [first, second]}),
+        ("product_vanishing", {"family": [second], "random": True}),
+        ("peeling", {"members": first, "i": 1}),
+    ]
+    return [CheckRecord(*shapes[k % 3], k % 2 == 0) for k in range(count)]
+
+
+@pytest.mark.parametrize("pretty", [False, True])
+@pytest.mark.parametrize("count", [0, 1, CHUNK_RECORDS, CHUNK_RECORDS + 1])
+def test_chunk_boundaries_render_like_the_dumped_report(count, pretty):
+    records = synthetic_records(count)
+    passes = sum(r.passed for r in records)
+    full_chunks = count // CHUNK_RECORDS  # then one more, which closes the document
+    stream = RelationStream(5, iter(records))
+    made = []
+    for chunk in stream.chunks(pretty):  # the counts are set with the last chunk, not before
+        last = len(made) == full_chunks
+        assert (stream.pass_count, stream.fail_count) == ((passes, count - passes) if last else (0, 0))
+        made.append(chunk)
+    assert len(made) == full_chunks + 1
+    assert "".join(made) == dumped(report_json_dict(5, records), pretty)
+    assert (stream.pass_count, stream.fail_count) == (passes, count - passes)
