@@ -127,7 +127,7 @@ def _target(args):
     opened on entry, or of stdout as it is on entry.  An OSError raised
     while the file is open, by opening, writing or closing it, is a usage
     error."""
-    path = getattr(args, "out", None)
+    path = args.out
     if not path:
         yield sys.stdout.write
         return
@@ -333,8 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, required=True, help=n_help)
         return p
 
-    p = command("graph", _cmd_graph, "emit the labeled graph as JSON")
-    p.add_argument("--out")
+    command("graph", _cmd_graph, "emit the labeled graph as JSON")
 
     p = command("gen", _cmd_gen, "emit a generator class (or the whole basis) as JSON")
     p.add_argument(
@@ -345,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--vertex", type=int)
     p.add_argument("--subset", help="comma-separated vertex list, e.g. 2,4,6")
-    p.add_argument("--out")
 
     p = command("check", _cmd_check, "test whether a vertex map file is a K-class")
     p.add_argument("--in", dest="infile", required=True)
@@ -361,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     bounds = ", ".join(map(str, MAX_EXPONENT_BY_N.values()))
     in_help = f"a K-class JSON file, every |exponent| at most {bounds} for n = 1..{MAX_N}"
     p.add_argument("--in", dest="infile", required=True, help=in_help)
-    p.add_argument("--out")
 
     p = command("selfcheck", _cmd_selfcheck, "run the full verification battery for n = 1..max-n")
     p.add_argument("--max-n", dest="max_n", type=int, required=True, help=f"1 to {MAX_SELFCHECK_N}")
@@ -369,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     for p in sub.choices.values():
+        p.add_argument("--out", help="write the result to this file instead of stdout")
         p.add_argument("--pretty", action="store_true")
     return parser
 

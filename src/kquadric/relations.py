@@ -6,8 +6,7 @@ Four families are checked (integer-exact, no tolerance anywhere):
    index sets with empty intersection is the zero map.  Values multiply in
    the integral domain Z[y^±1], so this holds iff the factors' zero sets
    cover every vertex, and that is what is checked, on vertex bitmasks (bit
-   v - 1 for vertex v): the AND of the member masks must be empty and the OR
-   of the zero masks full;
+   v - 1 for vertex v): the OR of the factors' zero masks must be full;
 2. complete-set split: for an admissible I of size n, the product of
    1 - (monomial class at i) over I equals the Thom class of the complement
    minus one spare pole, plus the monomial class at that pole times the Thom
@@ -25,16 +24,17 @@ the generator identities are identities of vertex maps.
 generator identities, runs family 1 exhaustively up to a size bound and on
 `RANDOM_FAMILY_COUNT` seeded random families, and yields one `CheckRecord`
 per instance (checks never raise on a failed identity, only on malformed
-parameters).  Family 1 is decided from a table built once per sweep, which
-holds each index set's member mask, zero mask and sorted member list: the
-prefix of a candidate family is ANDed and ORed once, and each last member
-then costs one AND to skip the candidate or one OR to decide it.
-`check_product_vanishing` is the checked entry point for a single family,
-and the oracle the sweep is tested against.  Callers consume the records as
-they come: `RelationStream.chunks` turns them into the report's JSON text,
-`CHUNK_RECORDS` records at a time, and keeps only the counts (a fault in the
-sweep ends the text after the chunks already made, without the summary), and
-a tally needs no more than a `Counter`.
+parameters).  `ClassProvider.zero_mask` is the one source of each index
+set's zero mask.  Family 1 is decided from a table built once per sweep,
+which holds each index set's member mask, zero mask (read from the provider)
+and sorted member list: the prefix of a candidate family is ANDed and ORed
+once, and each last member then costs one AND to skip the candidate or one
+OR to decide it.  `check_product_vanishing` is the checked entry point for a
+single family, and the oracle the sweep is tested against.  Callers consume
+the records as they come: `RelationStream.chunks` turns them into the
+report's JSON text, `CHUNK_RECORDS` records at a time, and keeps only the
+counts (a fault in the sweep ends the text after the chunks already made,
+without the summary), and a tally needs no more than a `Counter`.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 from .gkm import VertexMap
-from .laurent import monomial, one, zero
+from .laurent import monomial, one
 from .quadric import (
     QuadricGraph,
     _vertex_mask,
@@ -59,15 +59,15 @@ class ClassProvider:
 
     Overrides exist for fault injection: tests replace, say, the monomial
     class at one vertex with a corrupted copy and watch the relation suite
-    name it in a failure.  Each 1 - (monomial class at v) and each index
-    set's member and zero masks are cached here too; they are read from the
+    name it in a failure.  Each 1 - (monomial class at v) is cached here
+    too, and per index set only its zero mask; both are read from the
     generators, so an override drops what it changes.
     """
 
     def __init__(self, ctx: QuadricGraph):
         self.ctx = ctx
         self._cache: dict[tuple, VertexMap] = {}
-        self._masks: dict[frozenset[int], tuple[int, int]] = {}
+        self._zero_masks: dict[frozenset[int], int] = {}
 
     def override(self, kind: str, key, vm: VertexMap) -> None:
         if kind not in ("M", "Minv", "Delta"):
@@ -76,7 +76,7 @@ class ClassProvider:
         self._cache[(kind, key)] = vm
         if kind == "M":
             self._cache.pop(("1-M", key), None)
-        self._masks.clear()
+        self._zero_masks.clear()
 
     def _lookup(self, kind: str, key, build, *args) -> VertexMap:
         vm = self._cache.get((kind, key))
@@ -112,21 +112,16 @@ class ClassProvider:
             f"{sorted(members)} is neither the complement of a single vertex nor admissible"
         )
 
-    def masks(self, members) -> tuple[int, int]:
-        """(member mask, zero mask) of a valid index set, with bit v - 1 for
-        vertex v.  The zero mask holds the vertices where the supported class
-        is zero, read from its values (not from its expected support)."""
+    def zero_mask(self, members) -> int:
+        """The vertices where the supported class of a valid index set is
+        zero, bit v - 1 for vertex v, read from its values (not from its
+        expected support)."""
         members = frozenset(members)
-        entry = self._masks.get(members)
-        if entry is None:
+        mask = self._zero_masks.get(members)
+        if mask is None:
             vm = self.supported(members)
-            zeros = (v for v in self.ctx.vertices if vm[v].is_zero())
-            entry = self._masks[members] = (_vertex_mask(members), _vertex_mask(zeros))
-        return entry
-
-
-def _nonempty_intersection(vertices) -> ValueError:
-    return ValueError(f"family intersection {sorted(vertices)} is nonempty")
+            mask = self._zero_masks[members] = _vertex_mask(v for v in self.ctx.vertices if vm[v].is_zero())
+        return mask
 
 
 def check_product_vanishing(ctx, family, provider=None) -> bool:
@@ -137,26 +132,18 @@ def check_product_vanishing(ctx, family, provider=None) -> bool:
     intersection is reported before an invalid index set.  Values multiply in
     an integral domain, so the product is zero at a vertex iff some factor is
     zero there: the answer is whether the OR of the factors' zero masks covers
-    every vertex, once the AND of their member masks is empty.  No polynomial
-    is multiplied.
+    every vertex.  No polynomial is multiplied.
     """
     provider = provider or ClassProvider(ctx)
-    family = tuple(family)
+    family = [frozenset(j) for j in family]
     if not family:
         raise ValueError("family must be nonempty")
-    common, zeros = -1, 0
-    try:
-        for j in family:
-            member, zero = provider.masks(j)
-            common &= member
-            zeros |= zero
-    except ValueError:  # an invalid index set
-        intersection = frozenset.intersection(*map(frozenset, family))
-        if intersection:
-            raise _nonempty_intersection(intersection) from None
-        raise
-    if common:
-        raise _nonempty_intersection(v for v in ctx.vertices if common >> (v - 1) & 1)
+    intersection = frozenset.intersection(*family)
+    if intersection:
+        raise ValueError(f"family intersection {sorted(intersection)} is nonempty")
+    zeros = 0
+    for j in family:
+        zeros |= provider.zero_mask(j)
     return zeros == (1 << ctx.vertex_count) - 1
 
 
@@ -194,12 +181,7 @@ def check_peeling(ctx, members, i, provider=None) -> bool:
         raise ValueError(f"vertex {i} is not in {sorted(members)}")
     if len(members) < 2:
         raise ValueError("peeling needs at least two members")
-    factor, nothing = provider.one_minus_monomial(i), zero(ctx.m)
-    # Z[y^±1] is a domain: the product is zero wherever a factor is, so it is
-    # multiplied out only at the other vertices.
-    thom = provider.thom(members).values
-    lhs = VertexMap({v: p * factor[v] if p and factor[v] else nothing for v, p in thom.items()})
-    return lhs == provider.thom(members - {i})
+    return provider.thom(members) * provider.one_minus_monomial(i) == provider.thom(members - {i})
 
 
 def check_antipodal_product(ctx, v, w, provider=None) -> bool:
@@ -264,14 +246,14 @@ RANDOM_FAMILY_COUNT = 100  # seeded random product-vanishing families per sweep
 
 class _ZeroMasks(dict):
     """Position in `universe` -> zero mask of that index set, read through
-    `provider.masks` when a family first needs it."""
+    `provider.zero_mask` when a family first needs it."""
 
     def __init__(self, provider: ClassProvider, universe: list[frozenset[int]]):
         super().__init__()
         self.provider, self.universe = provider, universe
 
     def __missing__(self, k: int) -> int:
-        mask = self[k] = self.provider.masks(self.universe[k])[1]
+        mask = self[k] = self.provider.zero_mask(self.universe[k])
         return mask
 
 

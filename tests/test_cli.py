@@ -327,11 +327,32 @@ def test_verify_past_its_per_n_bounds_is_refused_before_any_graph_is_built(
 
 def test_unwritable_out_path_is_an_io_error(tmp_path, capsys):
     path = tmp_path / "missing" / "x.json"
-    code, out, err = run(capsys, "graph", "--n", "1", "--out", str(path))
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
-    assert not path.exists()
+    for command in ("graph", "verify"):
+        code, out, err = run(capsys, command, "--n", "1", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+        assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "1"],
+        ["check", "--n", "2", "--in", "{class_file}"],
+        ["selfcheck", "--max-n", "1", "--trials", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_writes_the_bytes_stdout_would_get(tmp_path, capsys, argv):
+    ctx = QuadricGraph(2)
+    class_file = tmp_path / "m1.json"
+    class_file.write_text(json.dumps(vertex_map_to_json_dict(ctx, monomial_class(ctx, 1))))
+    argv = [arg.format(class_file=class_file) for arg in argv]
+    code, stdout_text, _ = run(capsys, *argv)
+    target = tmp_path / "out.json"
+    assert run(capsys, *argv, "--out", str(target)) == (code, "", "")
+    assert target.read_bytes() == stdout_text.encode("utf-8")
 
 
 def test_requests_at_the_bounds_are_accepted(capsys):
@@ -454,12 +475,8 @@ def test_verify_writes_its_report_in_bounded_memory(monkeypatch):
 
 
 def verify_args(*argv, out):
-    """Parsed `verify` arguments with an --out target.  `verify` declares no
-    --out, but its output goes through the same `_target` as every command's,
-    which honours one."""
-    args = cli_module.build_parser().parse_args(["verify", *argv])
-    args.out = out
-    return args
+    """Parsed `verify` arguments with an --out target."""
+    return cli_module.build_parser().parse_args(["verify", *argv, "--out", out])
 
 
 def test_verify_opens_its_target_before_the_sweep(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,9 @@
+import gc
 import json
 import random
 import tracemalloc
-from collections import Counter
+import weakref
+from collections import Counter, deque
 from itertools import combinations, combinations_with_replacement
 from types import SimpleNamespace
 
@@ -82,6 +84,22 @@ def test_nonempty_intersection_rejected(q1):
         check_product_vanishing(q1, [{1, 2}, {2, 3}])
 
 
+def test_empty_family_rejected(q1):
+    for family in ([], iter(())):
+        with pytest.raises(ValueError, match="family must be nonempty"):
+            check_product_vanishing(q1, family)
+
+
+@pytest.mark.parametrize("corruption", ["none", "missing_vertex"])
+def test_family_given_as_a_generator_is_read_once(q1, corruption):
+    provider = corrupted_provider(q1, corruption)
+    for family in ([{1}, complement(q1, 1)], [[1], [2, 3, 4], {1}], [{3, 4}, {1, 2}]):
+        expected = check_product_vanishing(q1, list(family), provider)
+        assert check_product_vanishing(q1, (j for j in family), provider) == expected, family
+    with pytest.raises(ValueError, match=r"intersection \[2\] is nonempty"):
+        check_product_vanishing(q1, (j for j in [{1, 2}, {2, 3}]), provider)
+
+
 def test_invalid_index_set_rejected(q1):
     with pytest.raises(ValueError):
         check_product_vanishing(q1, [{1, 4}, {2}])  # {1,4} has no valid shape
@@ -148,6 +166,21 @@ def test_override_after_a_sweep_drops_cached_supported_classes(q1):
     records = list(iter_checks(q1, seed=3, provider=provider))
     assert any(r.kind == "product_vanishing" for r in records if not r.passed)
     assert records == list(iter_checks(q1, seed=3, provider=fresh))
+
+
+def test_provider_is_freed_without_the_cyclic_collector():
+    # The provider must own nothing that refers back to it: with the cyclic
+    # collector off, a cycle would keep it, and every class it caches, alive.
+    ctx = QuadricGraph(2)
+    provider = ClassProvider(ctx)
+    gc.disable()
+    try:
+        deque(iter_checks(ctx, provider=provider), maxlen=0)
+        freed = weakref.ref(provider)
+        del provider
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_sweep_streams_in_constant_memory():
