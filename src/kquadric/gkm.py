@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .laurent import LaurentPolynomial, _checked_alpha, constant, divisible_by_binomial
+from .laurent import LaurentPolynomial, _checked_alpha, _difference_divisible, _Divisor, constant
 from .linalg import integer_rank
 
 Edge = tuple[int, int]
@@ -265,7 +265,7 @@ def derive_connection(graph: GkmGraph) -> Connection:
     Partners are found by coset key, not by testing every pair of edges: each
     weight w is keyed by its representative w - t*weight(e) modulo
     Z*weight(e), with t = w_j // weight(e)_j at the first nonzero coordinate j
-    of weight(e).  `laurent.divisible_by_binomial` keys its lines in the
+    of weight(e).  `laurent._difference_divisible` keys its lines in the
     same form but not with the same pivot: it takes the first j of largest
     |alpha_j|.
     Adding weight(e) to w adds exactly 1 to t, whatever the signs and even
@@ -419,16 +419,22 @@ def is_k_class(graph: GkmGraph, vm: VertexMap) -> KClassReport:
 
     For every edge {i, j} the difference vm[i] - vm[j] must be divisible by
     1 - y^weight(i, j); divisibility is orientation-independent because the
-    two binomials differ by a unit.  All failing edges are reported.
+    two binomials differ by a unit.  An edge whose two values are equal
+    passes untested; otherwise the two values are summed by coset of
+    Z·weight(i, j) (`laurent._difference_divisible`), without building their
+    difference.  A zero weight raises ValueError once an edge with two
+    different values meets it.  All failing edges are reported.
     """
     vm._check_shape(graph.vertices, graph.m)
     failing = []
     values = vm.values
     for i, j, alpha in graph._divisors:
-        diff = values[i] - values[j]
-        if diff.is_zero():
+        a, b = values[i], values[j]
+        if a == b:
             continue
-        if not divisible_by_binomial(diff, alpha):
+        if type(alpha) is not _Divisor:  # a zero weight: _checked_alpha refuses it
+            alpha = _checked_alpha(alpha, graph.m)
+        if not _difference_divisible(a, b, alpha):
             failing.append((i, j))
     return KClassReport(not failing, tuple(failing))
 

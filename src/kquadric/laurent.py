@@ -44,24 +44,35 @@ everything downstream is built on:
 * ``div_exact_binomial(g, alpha)`` produces the exact quotient, which along
   each coset is the running sum of g's coefficients.
 
-``divisible_by_binomial`` sums the coefficients of g along each coset line
-e + Z·alpha, keyed by the representative e - t·alpha with t = ⌊e_j / alpha_j⌋
-for the coordinate j of largest |alpha_j|, which is also right for
+The line sums are one routine, ``_difference_divisible(a, b, alpha)``: it
+adds a's coefficients and subtracts b's along each coset line e + Z·alpha,
+so it decides a - b ∈ (1 - y^alpha) without building a - b.
+``divisible_by_binomial`` is its checked public wrapper for one g, and
+``gkm.is_k_class`` calls it on the two end values of each edge.  A line is
+keyed by the representative e - t·alpha with t = ⌊e_j / alpha_j⌋ for the
+first coordinate j of largest |alpha_j|, which is also right for
 non-primitive alpha.  On packed keys that is one field read, one floor
 division and key - t·P(alpha).  Then |t| <= |e_j|/|alpha_j| + 1, so every
 coordinate of the representative satisfies |e_i - t·alpha_i| <= 2·bound +
-max|alpha|; the pass widens by the same rule.  ``div_exact_binomial`` fills
-the quotient in one walk over g's keys in sorted order, laid out for
-bound + max|alpha|, in which every line is met in increasing t.  On a
-divisible g every fill ends at the next term of g on its line, so quotient
-exponents stay within g's bound.  Only a fill that runs min(len(g), the
-fields' headroom) steps without meeting one runs the line sums, once per
-call, and so does any fill once the quotient holds more than 2·len(g)
-terms; the division of a divisible g with neither never sums its lines.
+max|alpha|, for the larger operand bound; the pass widens by the same rule.
+The constants of alpha in one layout (max|alpha|, the field of j, alpha_j
+and P(alpha)) are computed once per (alpha, layout) by the cached
+``_line``, which ``div_exact_binomial`` reads too.
+
+``div_exact_binomial`` fills the quotient in one walk over g's keys in
+sorted order, laid out for bound + max|alpha|, in which every line is met
+in increasing t.  On a divisible g every fill ends at the next term of g on
+its line, so quotient exponents stay within g's bound.  Only a fill that
+runs min(len(g), the fields' headroom) steps without meeting one runs the
+line sums, once per call, and so does any fill once the quotient holds more
+than 2·len(g) terms; the division of a divisible g with neither never sums
+its lines.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
+from operator import lshift
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
@@ -93,7 +104,7 @@ def _quoted(value) -> str:
 
 def _check_exponent(e, m: int | None = None) -> Exponent:
     e = tuple(e)
-    if not all(type(x) is int for x in e):
+    if not {*map(type, e)} <= {int}:
         raise ValueError(f"exponent vector must consist of ints, got {e!r}")
     if m is not None and len(e) != m:
         raise ValueError(f"exponent vector {e!r} has length {len(e)}, expected {m}")
@@ -114,7 +125,7 @@ class _Layout:
 
     def offset(self, e) -> int:
         """The signed packing Σ e_i·2^(shift_i): adding it to a key multiplies by y^e."""
-        return sum(x << s for x, s in zip(e, self.shifts))
+        return sum(map(lshift, e, self.shifts))
 
     def pack(self, e) -> int:
         return self.zero + self.offset(e)
@@ -392,7 +403,7 @@ def _sharing_keys(p: LaurentPolynomial, keys: dict[int, int]) -> LaurentPolynomi
 
 def _packed(m: int, terms: dict[Exponent, int]) -> tuple[dict[int, int], _Layout, int]:
     """Packed keys, layout and bound for canonical tuple-keyed terms."""
-    bound = max((abs(x) for e in terms for x in e), default=0)
+    bound = max(map(abs, chain.from_iterable(terms)), default=0)
     layout = _layout_for(m, bound)
     pack = layout.pack
     return {pack(e): c for e, c in terms.items()}, layout, bound
@@ -445,29 +456,64 @@ def _checked_alpha(alpha, m: int) -> _Divisor:
     return _Divisor(alpha)
 
 
+@lru_cache(maxsize=4096)  # bounded: public callers may pass any number of distinct alphas
+def _line(alpha: _Divisor, layout: _Layout) -> tuple[int, int, int, int]:
+    """(top, shift, alpha_j, step) of the lines e + Z·alpha in `layout`:
+    top = max|alpha_i|, j the first coordinate with |alpha_j| = top, shift
+    the offset of j's field, and step = P(alpha)."""
+    sizes = list(map(abs, alpha))
+    top = max(sizes)
+    j = sizes.index(top)
+    return top, layout.shifts[j], alpha[j], layout.offset(alpha)
+
+
+def _line_layout(m: int, alpha: _Divisor, layout: _Layout, bound: int) -> tuple[_Layout, tuple[int, int, int, int]]:
+    """The layout of a walk along alpha's lines over terms held in `layout`
+    whose coordinates reach bound + max|alpha_i| (the `_common_layout` rule),
+    and alpha's `_line` in it."""
+    line = _line(alpha, layout)
+    if bound + line[0] >= layout.bias:
+        layout = _layout_for(m, bound + line[0])
+        line = _line(alpha, layout)
+    return layout, line
+
+
+def _difference_divisible(a: LaurentPolynomial, b: LaurentPolynomial, alpha: _Divisor) -> bool:
+    """True iff a - b lies in the ideal (1 - y^alpha), for an alpha that
+    `_checked_alpha` accepted.
+
+    a's coefficients are added and b's subtracted into one sum per coset
+    line, so a - b is never built.  The line through e is keyed by the packed
+    representative e - t·alpha with t = ⌊e_j / alpha_j⌋ for the first j of
+    largest |alpha_j|.  Adding alpha to e adds exactly 1 to t, so two
+    exponents share a key iff their difference lies in Z·alpha.
+    """
+    layout, (_, shift, a_j, step) = _line_layout(
+        a.m, alpha, _common_layout(a.m, a._layout, b._layout, 0), 2 * max(a._bound, b._bound)
+    )
+    mask, bias = layout.mask, layout.bias
+    sums: dict[int, int] = {}
+    get = sums.get
+    for key, c in _keyed(a, layout).items():
+        rep = key - (((key >> shift) & mask) - bias) // a_j * step
+        sums[rep] = get(rep, 0) + c
+    for key, c in _keyed(b, layout).items():
+        rep = key - (((key >> shift) & mask) - bias) // a_j * step
+        sums[rep] = get(rep, 0) - c
+    return not any(sums.values())
+
+
 def divisible_by_binomial(g: LaurentPolynomial, alpha: Iterable[int]) -> bool:
     """True iff g lies in the ideal (1 - y^alpha).
 
     Coefficients are summed by coset of Z·alpha; g is divisible iff every
     coset sums to zero.  This is exact: modulo y^alpha - 1 the ring is the
-    group ring of Z^m / Z·alpha.  The coset through e is keyed by the packed
-    representative e - t·alpha with t = ⌊e_j / alpha_j⌋ for the first j of
-    largest |alpha_j|.  Adding alpha to e adds exactly 1 to t, so two
-    exponents share a key iff their difference lies in Z·alpha.
+    group ring of Z^m / Z·alpha.  The sums are `_difference_divisible`'s,
+    for g minus an empty polynomial.
     """
-    if type(alpha) is not _Divisor:  # gkm.is_k_class passes weights checked once per graph
+    if type(alpha) is not _Divisor:  # div_exact_binomial passes alphas checked against g.m
         alpha = _checked_alpha(alpha, g.m)
-    top = max(abs(a) for a in alpha)
-    j = next(i for i, a in enumerate(alpha) if abs(a) == top)
-    layout = _common_layout(g.m, g._layout, g._layout, 2 * g._bound + top)
-    step = layout.offset(alpha)
-    shift, mask, bias, a_j = layout.shifts[j], layout.mask, layout.bias, alpha[j]
-    sums: dict[int, int] = {}
-    get = sums.get
-    for key, c in _keyed(g, layout).items():
-        rep = key - (((key >> shift) & mask) - bias) // a_j * step
-        sums[rep] = get(rep, 0) + c
-    return not any(sums.values())
+    return _difference_divisible(g, LaurentPolynomial._raw(g.m, {}, g._layout, 0), alpha)
 
 
 def div_exact_binomial(g: LaurentPolynomial, alpha: Iterable[int]) -> LaurentPolynomial:
@@ -490,9 +536,8 @@ def div_exact_binomial(g: LaurentPolynomial, alpha: Iterable[int]) -> LaurentPol
     """
     if type(alpha) is not _Divisor:  # div_exact_product passes alphas checked against g.m
         alpha = _checked_alpha(alpha, g.m)
-    top = max(abs(a) for a in alpha)
-    layout = _common_layout(g.m, g._layout, g._layout, g._bound + top)
-    terms, step = _keyed(g, layout), layout.offset(alpha)
+    layout, (top, _, _, step) = _line_layout(g.m, alpha, g._layout, g._bound)
+    terms = _keyed(g, layout)
     cap = min(len(terms), (layout.bias - 1 - g._bound) // top)
     budget = 2 * len(terms)
     quotient: dict[int, int] = {}
@@ -563,10 +608,10 @@ def from_json_dict(doc) -> LaurentPolynomial:
         raise ParseError("'terms' must be a list")
     terms: dict[Exponent, int] = {}
     for k, entry in enumerate(doc["terms"]):
-        if not isinstance(entry, dict) or set(entry) != {"exp", "coef"}:
+        if not isinstance(entry, dict) or entry.keys() != {"exp", "coef"}:
             raise ParseError(f"term {k} must be an object with exactly the keys 'exp' and 'coef'")
         exp = entry["exp"]
-        if not isinstance(exp, list) or len(exp) != m or not all(type(x) is int for x in exp):
+        if not isinstance(exp, list) or len(exp) != m or list(map(type, exp)).count(int) != m:
             raise ParseError(f"term {k}: 'exp' must be a list of {m} ints, got {_quoted(exp)}")
         coef = entry["coef"]
         if not isinstance(coef, str):

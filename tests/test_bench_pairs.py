@@ -1,7 +1,9 @@
-"""tools/bench_pairs.py on a stubbed two-pair run: no checkout, no benchmark process."""
+"""tools/bench_pairs.py on stubbed runs (no checkout, no benchmark process), and its
+working-tree snapshot of a scratch repository."""
 import ast
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -30,9 +32,10 @@ def test_the_tool_imports_nothing_from_the_package():
 def test_stubbed_two_pair_run(bench_pairs, monkeypatch, tmp_path):
     calls = []
     checked_out = []
+    snapshots = []
 
     def run_benchmark(root, workload, seed, seconds, trace, env):
-        side = "head" if root == bench_pairs.ROOT else "base"
+        side = "head" if root in snapshots else "base"
         calls.append((side, workload, seed, seconds, trace))
         if workload == "all":
             return {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
@@ -44,13 +47,18 @@ def test_stubbed_two_pair_run(bench_pairs, monkeypatch, tmp_path):
                    "item_p90_ms": 50.0, "peak_rss_mb": 30.0, "setup_s": 0.05}
         return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
 
-    monkeypatch.setattr(bench_pairs, "checkout", lambda ref, into: checked_out.append(ref))
+    monkeypatch.setattr(bench_pairs, "checkout", lambda ref, into: checked_out.append((ref, into)))
+    monkeypatch.setattr(bench_pairs, "snapshot", snapshots.append)
     monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
     out = tmp_path / "pairs.json"
     assert bench_pairs.main(["HEAD", "--out", str(out), "--workloads", "decompose-n4",
                              "--seeds", "3", "--pairs", "2", "--seconds", "1.5"]) == 0
 
-    assert checked_out == ["HEAD"]
+    # The head runs a snapshot beside the base checkout, never the working tree.
+    (ref, base_root), = checked_out
+    (head_root,) = snapshots
+    assert ref == "HEAD" and head_root.parent == base_root.parent and head_root != base_root
+    assert not head_root.is_relative_to(bench_pairs.ROOT)
     # One warm-up run per side; pair 0 runs the base first, pair 1 the head;
     # then one traced run per side.
     warm_up = bench_pairs.WARM_UP_S
@@ -86,12 +94,13 @@ def test_both_sides_read_bytecode_alike(bench_pairs, monkeypatch, tmp_path):
     envs = []
 
     def run_benchmark(root, workload, seed, seconds, trace, env):
-        envs.append(("head" if root == bench_pairs.ROOT else "base", workload, env))
+        envs.append((root.name, workload, env))
         metrics = {"items_per_s": 1.0, "item_p50_ms": 1.0, "item_p90_ms": 1.0, "peak_rss_mb": 1.0, "setup_s": 1.0}
         return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
 
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     monkeypatch.setattr(bench_pairs, "checkout", lambda ref, into: None)
+    monkeypatch.setattr(bench_pairs, "snapshot", lambda into: None)
     monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
     assert bench_pairs.main(["HEAD", "--out", str(tmp_path / "pairs.json"), "--workloads", "kcheck-n4",
                              "--pairs", "2"]) == 0
@@ -120,6 +129,7 @@ def test_default_workloads_are_the_benchmark_s(bench_pairs, monkeypatch, tmp_pat
         return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
 
     monkeypatch.setattr(bench_pairs, "checkout", lambda ref, into: None)
+    monkeypatch.setattr(bench_pairs, "snapshot", lambda into: None)
     monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
     out = tmp_path / "pairs.json"
     assert bench_pairs.main(["HEAD", "--out", str(out), "--pairs", "1"]) == 0
@@ -127,3 +137,22 @@ def test_default_workloads_are_the_benchmark_s(bench_pairs, monkeypatch, tmp_pat
     names = [workload["name"] for workload in spec["workloads"]]
     assert list(json.loads(out.read_text())["workloads"]) == names
     assert calls == [("all", 0), ("all", 0)] + [(name, trace) for name in names for trace in (0, 0, 1, 1)]
+
+
+def test_snapshot_copies_the_working_tree_as_it_is(bench_pairs, monkeypatch, tmp_path):
+    repo, into = tmp_path / "repo", tmp_path / "snapshot"
+    (repo / "src").mkdir(parents=True)
+    for name, text in {"src/edited.py": "old\n", "src/deleted.py": "x\n", ".gitignore": "*.log\n"}.items():
+        (repo / name).write_text(text)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "init.defaultBranch=main"]
+    subprocess.run([*git, "init", "-q"], cwd=repo, check=True)
+    subprocess.run([*git, "add", "-A"], cwd=repo, check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "c"], cwd=repo, check=True)
+    (repo / "src/edited.py").write_text("new\n")
+    (repo / "src/deleted.py").unlink()
+    (repo / "src/added.py").write_text("added\n")
+    (repo / "run.log").write_text("ignored\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    bench_pairs.snapshot(into)
+    copied = {str(path.relative_to(into)): path.read_text() for path in into.rglob("*") if path.is_file()}
+    assert copied == {".gitignore": "*.log\n", "src/edited.py": "new\n", "src/added.py": "added\n"}

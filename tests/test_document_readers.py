@@ -6,7 +6,7 @@ import pytest
 
 from kquadric.cli import main
 from kquadric.decompose import Decomposition
-from kquadric.laurent import ParseError, one, to_json_dict, zero
+from kquadric.laurent import LaurentPolynomial, ParseError, from_json_dict, one, to_json_dict, zero
 from kquadric.quadric import QuadricGraph, vertex_map_from_json_dict
 
 CTX = QuadricGraph(1)  # vertices 1..4, polynomials in m = 2 variables
@@ -124,3 +124,31 @@ def test_oversized_decomposition_n_is_quoted():
         read_decomposition({"n": LONG, "coeffs": []})
     assert str(err.value) == f"decomposition is for n={quoted(LONG)}, context expects n=1"
     assert len(str(err.value)) <= 300
+
+
+@pytest.mark.parametrize("entry", [True, 1.0], ids=["true", "float"])
+def test_exponent_entries_that_are_not_ints_are_refused(tmp_path, monkeypatch, capsys, entry):
+    message = f"term 0: 'exp' must be a list of 2 ints, got {[0, entry]!r}"
+    with pytest.raises(ParseError) as err:
+        from_json_dict({"m": 2, "terms": [term([0, entry], "1")]})
+    assert str(err.value) == message
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(json.dumps(polynomial(2, term([0, entry], "1"))))
+    assert main(["check", "--n", "1", "--in", "in.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: in.json: {message}\n"
+
+
+@pytest.mark.parametrize("edge", [2**15, 2**31, 2**63, 2**127])
+def test_parsed_polynomials_are_held_as_constructed(edge):
+    """A document parses to the packed keys, layout and bound the tuple
+    constructor gives, on both sides of each field-width boundary."""
+    for top in (edge - 1, edge):
+        p = LaurentPolynomial(3, {(top, 0, -1): 2, (0, -top, 5): -7, (1, 2, 3): 1, (-top, top, 0): 3})
+        q = from_json_dict(json.loads(json.dumps(to_json_dict(p))))
+        assert (q._terms, q._layout, q._bound) == (p._terms, p._layout, p._bound)
+        assert q._layout is p._layout and q.items() == p.items()
+        width = q._layout.width  # the narrowest of 16, 32, 64, ... bits whose bias exceeds top
+        assert top < 2 ** (width - 1) and (width == 16 or top >= 2 ** (width // 2 - 1))
+        fields = {e: sum((x + 2 ** (width - 1)) << (width * (2 - i)) for i, x in enumerate(e)) for e, _ in p.items()}
+        assert q._terms == {fields[e]: c for e, c in q.items()}

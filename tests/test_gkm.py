@@ -229,15 +229,18 @@ def test_k_class_dimension_mismatch(q1):
 
 def test_k_class_test_checks_each_weight_once_per_graph(monkeypatch):
     checked, tested = [], []
-    check, divisible = laurent._checked_alpha, gkm.divisible_by_binomial
+    check, difference_divisible = laurent._checked_alpha, gkm._difference_divisible
     counting = lambda alpha, m: checked.append(alpha) or check(alpha, m)  # noqa: E731
     monkeypatch.setattr(laurent, "_checked_alpha", counting)
     monkeypatch.setattr(gkm, "_checked_alpha", counting)
     ctx = QuadricGraph(2)
     assert checked == [ctx.graph.axial(i, j) for i, j in ctx.graph.unordered_edges()]
     del checked[:]
-    monkeypatch.setattr(gkm, "divisible_by_binomial", lambda g, alpha: tested.append(alpha) or divisible(g, alpha))
+    monkeypatch.setattr(
+        gkm, "_difference_divisible", lambda a, b, alpha: tested.append(alpha) or difference_divisible(a, b, alpha)
+    )
     classes = [monomial_class(ctx, v) for v in ctx.vertices] + [thom_class(ctx, [2, 4, 6])]
+    monkeypatch.setattr(laurent.LaurentPolynomial, "_add", lambda *args: pytest.fail("difference built"))
     for _ in range(3):
         assert all(is_k_class(ctx.graph, f) for f in classes)
     assert tested and not checked  # every divisibility test goes through gkm's global, none re-checks

@@ -132,6 +132,29 @@ def test_binomial_division_matches_tuple_oracle(case):
     assert packed_quotient(multiple, alpha) == tuple_terms(a)
 
 
+@settings(max_examples=300, deadline=None)
+@given(operands())
+# Operands held in one layout or two (16; 32 and 16; 64 and 16 bits) whose
+# line pass must widen: 2·bound + max|alpha| crosses 2^15, 2^31, 2^63 (the
+# last also with max|alpha| near 2^62).
+@example((1, monomial((2**14,)), monomial((2**14 - 1,)), (1,)))
+@example((2, monomial((2**30, 2**30)), monomial((0, 0)), (1, 1)))
+@example((2, monomial((2**62, -(2**62))), monomial((0, 0)), (-1, 1)))
+@example((2, monomial((2**62, 0)), monomial((1, 0)), (2**62 - 1, 0)))
+# The wrapping representative pinned for the division test above, split
+# across the operands: the pass on a - b must widen.
+@example((2, monomial((2**15 - 3, 2**15 - 4)), monomial((0, -6)), (-3, 3)))
+def test_difference_test_matches_a_test_of_the_difference(case):
+    """_difference_divisible(a, b, alpha) == divisible_by_binomial(a - b, alpha)
+    == the tuple oracle on a - b, for divisible and non-divisible differences."""
+    m, a, b, alpha = case
+    divisor = laurent._checked_alpha(alpha, m)
+    multiple = a * one_minus_monomial(alpha)
+    for x, y in ((a, b), (b, a), (b + multiple, b), (b, b - multiple), (multiple, zero(m)), (a, a)):
+        expected = oracle.divisible(oracle.add(tuple_terms(x), tuple_terms(y), -1), alpha)
+        assert laurent._difference_divisible(x, y, divisor) == divisible_by_binomial(x - y, alpha) == expected
+
+
 @settings(max_examples=150, deadline=None)
 @given(operands(), st.data())
 def test_division_by_products_matches_tuple_oracle(case, data):

@@ -3,7 +3,10 @@
 The base ref's committed files are extracted into a temporary directory
 (`git archive`, so the repository's .git is left untouched), and the working
 tree's `benchmarks/` is copied over the base's, so both sides run the same
-harness, each on its own `src/`.  For every workload and seed, N pairs of
+harness, each on its own `src/`.  The head side runs a snapshot of the
+working tree taken into the same directory at the start (every file git
+tracks or would add, as it is on disk), so an edit made while the pairs run
+reaches neither side.  For every workload and seed, N pairs of
 `benchmarks/run.py --trace 0` runs follow; pair 0 runs the base first, pair 1
 the working tree first, and so on.  Then one `--trace 1` run per side and
 workload (on the first seed) records the per-layer metrics.  One benchmark
@@ -11,8 +14,8 @@ process runs at a time.  --workloads defaults to every workload that
 BENCHMARK.json lists.
 
 Both sides load the same kind of bytecode.  Each side has its own cache
-(PYTHONPYCACHEPREFIX) in the temporary directory, so a __pycache__ in the
-working tree is never read; one short `--workload all` run per side fills it
+(PYTHONPYCACHEPREFIX) in the temporary directory, so a __pycache__ in a
+checkout is never read; one short `--workload all` run per side fills it
 before the first pair, and the measured runs only read it.  Otherwise the side
 that compiles its modules on every run (as a `git archive` checkout does when
 bytecode writing is off) reads a higher peak RSS.
@@ -60,6 +63,17 @@ def checkout(ref: str, into: Path) -> None:
         tar.extractall(into, **safe)
     shutil.rmtree(into / "benchmarks", ignore_errors=True)
     shutil.copytree(ROOT / "benchmarks", into / "benchmarks", ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def snapshot(into: Path) -> None:
+    """The working tree's files in `into`: every file git tracks or would add
+    (untracked and not ignored), with its contents as they are on disk."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        source = ROOT / name
+        if name and source.is_file():  # a tracked file deleted in the working tree is left out
+            target = into / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
 
 
 def bytecode_env(cache: Path, write: bool) -> dict[str, str]:
@@ -133,7 +147,8 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "pairs_per_seed": args.pairs,
         "method": "pair k runs the base first when k is even, the head first when k is odd; "
-                  "both sides run the head's benchmarks/; each side reads its own bytecode cache, "
+                  "both sides run the head's benchmarks/; the head is a snapshot of the working tree; "
+                  "each side reads its own bytecode cache, "
                   "filled by one warm-up run before the first pair; one benchmark process at a time",
         "workloads": {},
     }
@@ -141,7 +156,8 @@ def main(argv=None) -> int:
     # and subprocess.run kills the benchmark process it is waiting for.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
-        roots = {"base": Path(scratch) / "base", "head": ROOT}
+        roots = {side: Path(scratch) / side for side in SIDES}
+        snapshot(roots["head"])
         checkout(args.base_ref, roots["base"])
         caches = {side: Path(scratch) / "pycache" / side for side in SIDES}
         envs = {side: bytecode_env(caches[side], write=False) for side in SIDES}
