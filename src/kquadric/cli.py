@@ -166,7 +166,7 @@ def _parse_subset(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise UsageError(f"--subset expects comma-separated integers, got {text!r}") from None
+        raise UsageError(f"--subset expects comma-separated integers, got {_quoted(text)}") from None
 
 
 def _cmd_graph(args) -> int:

@@ -219,7 +219,7 @@ def thom_class(ctx: QuadricGraph, members: Iterable[int]) -> VertexMap:
     """
     members = frozenset(members)
     if not ctx.is_admissible(members):
-        raise ValueError(f"{sorted(members)} is empty, out of range, or contains an antipodal pair")
+        raise ValueError(f"{_quoted(sorted(members))} is empty, out of range, or contains an antipodal pair")
     outside = ((1 << ctx.vertex_count) - 1) ^ _vertex_mask(members)
     values = {}
     for l in ctx.vertices:

@@ -26,15 +26,18 @@ generator identities, runs family 1 exhaustively up to a size bound and on
 per instance (checks never raise on a failed identity, only on malformed
 parameters).  `ClassProvider.zero_mask` is the one source of each index
 set's zero mask.  Family 1 is decided from a table built once per sweep,
-which holds each index set's member mask, zero mask (read from the provider)
-and sorted member list: the prefix of a candidate family is ANDed and ORed
-once, and each last member then costs one AND to skip the candidate or one
-OR to decide it.  `check_product_vanishing` is the checked entry point for a
-single family, and the oracle the sweep is tested against.  Callers consume
-the records as they come: `RelationStream.chunks` turns them into the
-report's JSON text, `CHUNK_RECORDS` records at a time, and keeps only the
-counts (a fault in the sweep ends the text after the chunks already made,
-without the summary), and a tally needs no more than a `Counter`.
+which holds each index set's member mask and sorted member list, and, when
+pairs of sets are swept, its zero mask (read from the provider): the prefix
+of a candidate family is ANDed and ORed once, and each last member then
+costs one AND to skip the candidate or one OR to decide it; the random
+families read the provider's zero masks directly.  A family's member lists
+are the table's own, sorted, so the records share one list per index set.
+`check_product_vanishing` is the checked entry point for a single family,
+and the oracle the sweep is tested against.  Callers consume the records as
+they come: `RelationStream.chunks` turns them into the report's JSON text,
+`CHUNK_RECORDS` records at a time, and keeps only the counts (a fault in the
+sweep ends the text after the chunks already made, without the summary),
+and a tally needs no more than a `Counter`.
 """
 from __future__ import annotations
 
@@ -44,7 +47,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 from .gkm import VertexMap
-from .laurent import monomial, one
+from .laurent import _quoted, monomial, one
 from .quadric import (
     QuadricGraph,
     _vertex_mask,
@@ -109,7 +112,7 @@ class ClassProvider:
         if self.ctx.is_admissible(members):
             return self.thom(members)
         raise ValueError(
-            f"{sorted(members)} is neither the complement of a single vertex nor admissible"
+            f"{_quoted(sorted(members))} is neither the complement of a single vertex nor admissible"
         )
 
     def zero_mask(self, members) -> int:
@@ -244,19 +247,6 @@ ALL_KINDS = (
 RANDOM_FAMILY_COUNT = 100  # seeded random product-vanishing families per sweep
 
 
-class _ZeroMasks(dict):
-    """Position in `universe` -> zero mask of that index set, read through
-    `provider.zero_mask` when a family first needs it."""
-
-    def __init__(self, provider: ClassProvider, universe: list[frozenset[int]]):
-        super().__init__()
-        self.provider, self.universe = provider, universe
-
-    def __missing__(self, k: int) -> int:
-        mask = self[k] = self.provider.zero_mask(self.universe[k])
-        return mask
-
-
 def iter_checks(
     ctx,
     family_size_bound: int = 3,
@@ -271,8 +261,9 @@ def iter_checks(
     distinct empty-intersection families of at most `family_size_bound` index
     sets; plus `RANDOM_FAMILY_COUNT` seeded random families (any size,
     duplicates allowed).  Families are decided from a table of masks built
-    once per sweep: the answer of `check_product_vanishing`, without its
-    argument checks.  Records share one member list per index set.
+    once per sweep (zero masks only when `family_size_bound` >= 2): the
+    answer of `check_product_vanishing`, without its argument checks.
+    Records share one member list per index set.
     """
     provider = provider or ClassProvider(ctx)
 
@@ -311,51 +302,40 @@ def iter_checks(
 
     if "product_vanishing" in kinds:
         # The sweep's table, one entry per position of `universe`: the member
-        # mask, the zero mask (read through the provider on first use, so an
-        # override counts), and the rank of the member list in sorted order.
+        # mask, the zero mask (read from the provider, so an override counts)
+        # and the sorted member list, shared by the records.  A single index
+        # set is never empty, so families start at two sets, and the zero
+        # masks are read only when there are such families.
         universe = support_index_sets(ctx)
         count = len(universe)
         member_mask = [_vertex_mask(j) for j in universe]
-        zero_mask = _ZeroMasks(provider, universe)
-        lists = [sorted(j) for j in universe]  # shared by the records
-        order = sorted(range(count), key=lists.__getitem__)
-        by_rank = [lists[k] for k in order]
-        rank = sorted(range(count), key=order.__getitem__)  # the inverse permutation of `order`
+        lists = [sorted(j) for j in universe]
         full = (1 << ctx.vertex_count) - 1
-        # The loop's per-record calls are bound C methods, so a record costs
-        # no Python frame: the record is built by `tuple.__new__`, not by the
-        # NamedTuple's Python-level `__new__`.
-        member_list, new_record = by_rank.__getitem__, tuple.__new__
-        for size in range(1, family_size_bound + 1):
+        if family_size_bound >= 2:
+            zero_mask = [provider.zero_mask(j) for j in universe]
+        for size in range(2, family_size_bound + 1):
             for prefix in combinations(range(count), size - 1):
                 common, zeros = -1, 0
                 for k in prefix:
                     common &= member_mask[k]
                     zeros |= zero_mask[k]
-                head = [rank[k] for k in prefix]
-                for last in range(prefix[-1] + 1 if prefix else 0, count):
+                head = [lists[k] for k in prefix]
+                for last in range(prefix[-1] + 1, count):
                     if common & member_mask[last]:
                         continue
-                    ranks = head + [rank[last]]
-                    ranks.sort()
-                    yield new_record(
-                        CheckRecord,
-                        (
-                            "product_vanishing",
-                            {"family": list(map(member_list, ranks))},
-                            zeros | zero_mask[last] == full,
-                        ),
-                    )
+                    family = head + [lists[last]]
+                    family.sort()
+                    yield CheckRecord("product_vanishing", {"family": family}, zeros | zero_mask[last] == full)
         position = {j: k for k, j in enumerate(universe)}
         rng = random.Random(seed)
         for _ in range(RANDOM_FAMILY_COUNT):
-            family = [position[j] for j in random_empty_intersection_family(ctx, rng, universe)]
+            family = random_empty_intersection_family(ctx, rng, universe)
             zeros = 0
-            for k in family:
-                zeros |= zero_mask[k]
+            for j in family:
+                zeros |= provider.zero_mask(j)
             yield CheckRecord(
                 "product_vanishing",
-                {"family": [by_rank[r] for r in sorted(rank[k] for k in family)], "random": True},
+                {"family": sorted(lists[position[j]] for j in family), "random": True},
                 zeros == full,
             )
 
@@ -364,7 +344,7 @@ CHUNK_RECORDS = 4096  # records per text chunk of `RelationStream.chunks`
 
 
 class RelationStream:
-    """The records of one sweep, consumed once by `chunks` (or `render`).
+    """The records of one sweep, consumed once by `chunks`.
 
     Only the counts outlive the rendering: `pass_count` and `fail_count` are
     set once the last chunk has been made.  The summary follows the last
@@ -377,11 +357,6 @@ class RelationStream:
         self.n = n
         self.records = records
         self.pass_count = self.fail_count = 0
-
-    def render(self, pretty: bool = False) -> str:
-        """The whole text of `chunks`, joined.  A fault raised by the records
-        propagates, and no text is returned."""
-        return "".join(self.chunks(pretty))
 
     def chunks(self, pretty: bool = False) -> Iterator[str]:
         """The report's JSON text and a newline, in chunks of `CHUNK_RECORDS`

@@ -139,6 +139,21 @@ def test_default_workloads_are_the_benchmark_s(bench_pairs, monkeypatch, tmp_pat
     assert calls == [("all", 0), ("all", 0)] + [(name, trace) for name in names for trace in (0, 0, 1, 1)]
 
 
+def test_default_pairs_are_ten(bench_pairs, monkeypatch, tmp_path):
+    def run_benchmark(root, workload, seed, seconds, trace, env):
+        metrics = {"items_per_s": 1.0, "item_p50_ms": 1.0, "item_p90_ms": 1.0, "peak_rss_mb": 1.0, "setup_s": 1.0}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "checkout", lambda ref, into: None)
+    monkeypatch.setattr(bench_pairs, "snapshot", lambda into: None)
+    monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["HEAD", "--out", str(out), "--workloads", "kcheck-n4"]) == 0
+    record = json.loads(out.read_text())
+    assert record["pairs_per_seed"] == 10
+    assert len(record["workloads"]["kcheck-n4"]["seeds"]["0"]["pairs"]) == 10
+
+
 def test_snapshot_copies_the_working_tree_as_it_is(bench_pairs, monkeypatch, tmp_path):
     repo, into = tmp_path / "repo", tmp_path / "snapshot"
     (repo / "src").mkdir(parents=True)

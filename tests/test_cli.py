@@ -436,7 +436,7 @@ def test_fault_after_a_chunk_leaves_the_chunks_written_so_far(capsys, monkeypatc
     with pytest.raises(ValueError, match="internal fault"):
         main(["verify", "--n", "3"])
     out, err = capsys.readouterr()
-    report = RelationStream(3, iter_checks(QuadricGraph(3))).render()
+    report = "".join(RelationStream(3, iter_checks(QuadricGraph(3))).chunks())
     assert err == ""
     assert 0 < len(out) < len(report) and report.startswith(out)
     assert out.count('"kind"') == CHUNK_RECORDS
@@ -459,7 +459,7 @@ class HashingStdout:
 
 
 def test_verify_writes_its_report_in_bounded_memory(monkeypatch):
-    expected = hashlib.sha256(RelationStream(3, iter_checks(QuadricGraph(3))).render().encode()).hexdigest()
+    expected = hashlib.sha256("".join(RelationStream(3, iter_checks(QuadricGraph(3))).chunks()).encode()).hexdigest()
     sink = HashingStdout()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
@@ -494,7 +494,8 @@ def test_verify_opens_its_target_before_the_sweep(tmp_path, capsys, monkeypatch)
 def test_verify_streams_into_its_target(tmp_path, capsys):
     path = tmp_path / "report.json"
     assert cli_module._cmd_verify(verify_args("--n", "2", "--pretty", out=str(path))) == 0
-    assert path.read_text(encoding="utf-8") == RelationStream(2, iter_checks(QuadricGraph(2))).render(pretty=True)
+    expected = "".join(RelationStream(2, iter_checks(QuadricGraph(2))).chunks(pretty=True))
+    assert path.read_text(encoding="utf-8") == expected
     assert capsys.readouterr() == ("", "")
 
 

@@ -1,5 +1,6 @@
 """The two n-keyed document readers: the exact text of each of their errors,
-and input echoed into an error message quoted to a bounded prefix."""
+and input echoed into an error message (by the readers and by `gen
+--subset`) quoted to a bounded prefix."""
 import json
 
 import pytest
@@ -124,6 +125,30 @@ def test_oversized_decomposition_n_is_quoted():
         read_decomposition({"n": LONG, "coeffs": []})
     assert str(err.value) == f"decomposition is for n={quoted(LONG)}, context expects n=1"
     assert len(str(err.value)) <= 300
+
+
+BIG_SUBSET = list(range(1, 20001))
+BIG_SUBSET_TEXT = ",".join(map(str, BIG_SUBSET))
+
+
+@pytest.mark.parametrize(
+    "cls, subset, message",
+    [
+        pytest.param("F", BIG_SUBSET_TEXT,
+                     f"{quoted(BIG_SUBSET)} is neither the complement of a single vertex nor admissible",
+                     id="supported"),
+        pytest.param("Delta", BIG_SUBSET_TEXT,
+                     f"{quoted(BIG_SUBSET)} is empty, out of range, or contains an antipodal pair", id="thom"),
+        pytest.param("F", "x" + BIG_SUBSET_TEXT,
+                     f"--subset expects comma-separated integers, got {quoted('x' + BIG_SUBSET_TEXT)}",
+                     id="not-integers"),
+    ],
+)
+def test_oversized_subset_is_quoted_in_one_short_line(capsys, cls, subset, message):
+    assert main(["gen", "--n", "1", "--class", cls, "--subset", subset]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert len(captured.err.encode()) <= 300
 
 
 @pytest.mark.parametrize("entry", [True, 1.0], ids=["true", "float"])

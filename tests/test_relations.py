@@ -240,6 +240,41 @@ def test_product_vanishing_sweep_matches_the_oracle(n, corruption):
         assert [tuple(r) for r in records] == expected, bound
 
 
+class RecordingProvider(ClassProvider):
+    """A provider that records the index set of every `supported` call."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.asked = set()
+
+    def supported(self, members):
+        self.asked.add(frozenset(members))
+        return super().supported(members)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_sweep_asks_only_for_the_index_sets_it_decides(bound):
+    # Below two sets per family only the random families are decided, so only
+    # their index sets are read; from two sets on, every index set is.
+    ctx = QuadricGraph(3)
+    provider = RecordingProvider(ctx)
+    records = list(iter_checks(ctx, bound, kinds=("product_vanishing",), provider=provider))
+    if bound < 2:
+        assert all(r.params.get("random") for r in records)
+        assert provider.asked == {frozenset(j) for r in records for j in r.params["family"]}
+    else:
+        assert provider.asked == set(support_index_sets(ctx))
+
+
+def test_sweep_records_share_one_member_list_per_index_set():
+    # `RelationStream.chunks` encodes each member list once per list object:
+    # unshared lists would each be encoded, and kept, once per record.
+    ctx = QuadricGraph(2)
+    records = list(iter_checks(ctx, 3, kinds=("product_vanishing",)))
+    lists = {id(j) for r in records for j in r.params["family"]}
+    assert len(lists) <= len(support_index_sets(ctx))
+
+
 def test_members_given_as_sets_and_lists(q1):
     provider = ClassProvider(q1)
     assert check_product_vanishing(q1, [{1, 2}, [3, 4]], provider)
@@ -456,7 +491,7 @@ def test_generator_values_away_from_antipodes(q2):
 
 
 def report_json_dict(n, records):
-    """The oracle of `RelationStream.render`: the records as one JSON document."""
+    """The oracle of `RelationStream.chunks`: the records as one JSON document."""
     passes = sum(passed for _, _, passed in records)
     return {
         "n": n,
@@ -546,7 +581,7 @@ def test_rendered_stream_equals_the_dumped_report(n, bound, corruption, kinds):
         streamed = []
         records = iter_checks(ctx, *args, corrupted_provider(ctx, corruption))
         stream = RelationStream(n, (streamed.append(r) or r for r in records))
-        assert stream.render(pretty) == dumped(doc, pretty), pretty
+        assert "".join(stream.chunks(pretty)) == dumped(doc, pretty), pretty
         assert streamed == expected
         assert (stream.pass_count, stream.fail_count) == (passes, len(expected) - passes)
 
@@ -565,10 +600,10 @@ def test_render_encodes_other_params_and_repeated_member_lists(pretty):
     ]
     records = [CheckRecord(*record) for record in records]
     stream = RelationStream(7, iter(records))
-    assert stream.render(pretty) == dumped(report_json_dict(7, records), pretty)
+    assert "".join(stream.chunks(pretty)) == dumped(report_json_dict(7, records), pretty)
     assert (stream.pass_count, stream.fail_count) == (4, 3)
     empty = RelationStream(0, iter(()))
-    assert empty.render(pretty) == dumped(report_json_dict(0, []), pretty)
+    assert "".join(empty.chunks(pretty)) == dumped(report_json_dict(0, []), pretty)
 
 
 def synthetic_records(count):

@@ -7,11 +7,12 @@ harness, each on its own `src/`.  The head side runs a snapshot of the
 working tree taken into the same directory at the start (every file git
 tracks or would add, as it is on disk), so an edit made while the pairs run
 reaches neither side.  For every workload and seed, N pairs of
-`benchmarks/run.py --trace 0` runs follow; pair 0 runs the base first, pair 1
-the working tree first, and so on.  Then one `--trace 1` run per side and
-workload (on the first seed) records the per-layer metrics.  One benchmark
-process runs at a time.  --workloads defaults to every workload that
-BENCHMARK.json lists.
+`benchmarks/run.py --trace 0` runs follow (--pairs, 10 by default: the fewest
+with which a gain can be claimed, as a win in at least nine of ten pairs);
+pair 0 runs the base first, pair 1 the working tree first, and so on.  Then
+one `--trace 1` run per side and workload (on the first seed) records the
+per-layer metrics.  One benchmark process runs at a time.  --workloads
+defaults to every workload that BENCHMARK.json lists.
 
 Both sides load the same kind of bytecode.  Each side has its own cache
 (PYTHONPYCACHEPREFIX) in the temporary directory, so a __pycache__ in a
@@ -134,7 +135,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
     parser.add_argument("--seeds", default="0")
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
     workloads = args.workloads.split(",")
