@@ -111,7 +111,7 @@ def _check_limits(args) -> None:
         if least is not None and value < least:
             raise UsageError(f"{flag} must be at least {least}")
         if value > limit:
-            raise UsageError(f"{flag} {value} exceeds the supported maximum {limit}")
+            raise UsageError(f"{flag} {_quoted(value)} exceeds the supported maximum {limit}")
 
 
 def _dump(doc, pretty: bool) -> str:

@@ -245,51 +245,30 @@ def integer_multiple_of(diff: Iterable[int], base: Iterable[int]) -> int | None:
     return k if all(d == k * b for d, b in zip(diff, base)) else None
 
 
-def _coset(w: tuple[int, ...], base: tuple[int, ...], j: int | None) -> tuple[tuple[int, ...], int]:
-    """(w - t*base, t) with t = w_j // base_j, where j is a nonzero coordinate
-    of base; (w, 0) when base is zero (j is None)."""
-    if j is None:
-        return w, 0
-    t = w[j] // base[j]
-    return tuple(a - t * b for a, b in zip(w, base)), t
-
-
 def derive_connection(graph: GkmGraph) -> Connection:
     """The unique connection compatible with the axial function.
 
     For each oriented edge e = (p, q) and each edge e' at p, the partner at q
     is the unique edge whose weight differs from weight(e') by an integer
-    multiple of weight(e).  Raises ConnectionDerivationError when no partner
-    exists (not a GKM graph) or several do (three-independence violated).
-
-    Partners are found by coset key, not by testing every pair of edges: each
-    weight w is keyed by its representative w - t*weight(e) modulo
-    Z*weight(e), with t = w_j // weight(e)_j at the first nonzero coordinate j
-    of weight(e).  `laurent._difference_divisible` keys its lines in the
-    same form but not with the same pivot: it takes the first j of largest
-    |alpha_j|.
-    Adding weight(e) to w adds exactly 1 to t, whatever the signs and even
-    for a non-primitive weight, so two weights share a key iff their
-    difference is an integer multiple of weight(e), and the multiple (the
-    witness) is the difference of their t's.  Looking up each edge at p among the keyed edges at q therefore
-    finds exactly the partners a test of every pair finds, in star order.
-    A zero weight(e) keys each weight by itself: only equal weights match.
+    multiple of weight(e), found by `integer_multiple_of` (the test that
+    `check_axial_axioms` applies); the multiple is the witness.  Raises
+    ConnectionDerivationError when no partner exists (not a GKM graph) or
+    several do (three-independence violated).
     """
     axial = graph._axial
     maps: dict[Edge, dict[Edge, tuple[Edge, int]]] = {}
     for e in graph.edges():
         p, q = e
         w_e = axial[e]
-        j = next((i for i, x in enumerate(w_e) if x), None)
-        partners: dict[tuple[int, ...], list[tuple[Edge, int]]] = {}
-        for e_double in graph.edges_from(q):
-            key, t = _coset(axial[e_double], w_e, j)
-            partners.setdefault(key, []).append((e_double, t))
         star: dict[Edge, tuple[Edge, int]] = {}
         used: set[Edge] = set()
         for e_prime in graph.edges_from(p):
-            key, t = _coset(axial[e_prime], w_e, j)
-            candidates = partners.get(key, ())
+            w_prime = axial[e_prime]
+            candidates = [
+                (e_double, k)
+                for e_double in graph.edges_from(q)
+                if (k := integer_multiple_of(map(operator.sub, axial[e_double], w_prime), w_e)) is not None
+            ]
             if not candidates:
                 raise ConnectionDerivationError(
                     f"no connection partner for edge {e_prime} along {e}: not a GKM graph",
@@ -301,14 +280,14 @@ def derive_connection(graph: GkmGraph) -> Connection:
                     "three-independence violated",
                     kind="ambiguous",
                 )
-            (target, t_target), = candidates
+            (target, k), = candidates
             if target in used:
                 raise ConnectionDerivationError(
                     f"connection along {e} is not a bijection (edge {target} matched twice)",
                     kind="ambiguous",
                 )
             used.add(target)
-            star[e_prime] = (target, t_target - t)
+            star[e_prime] = (target, k)
         if star[e][0] != (q, p):
             raise ConnectionDerivationError(
                 f"edge {e} does not transport to its own reversal: not a GKM graph",

@@ -469,13 +469,9 @@ def _line(alpha: _Divisor, layout: _Layout) -> tuple[int, int, int, int]:
 
 def _line_layout(m: int, alpha: _Divisor, layout: _Layout, bound: int) -> tuple[_Layout, tuple[int, int, int, int]]:
     """The layout of a walk along alpha's lines over terms held in `layout`
-    whose coordinates reach bound + max|alpha_i| (the `_common_layout` rule),
-    and alpha's `_line` in it."""
-    line = _line(alpha, layout)
-    if bound + line[0] >= layout.bias:
-        layout = _layout_for(m, bound + line[0])
-        line = _line(alpha, layout)
-    return layout, line
+    whose coordinates reach bound + max|alpha_i|, and alpha's `_line` in it."""
+    layout = _common_layout(m, layout, layout, bound + _line(alpha, layout)[0])
+    return layout, _line(alpha, layout)
 
 
 def _difference_divisible(a: LaurentPolynomial, b: LaurentPolynomial, alpha: _Divisor) -> bool:

@@ -66,7 +66,7 @@ class QuadricGraph:
 
     def __init__(self, n: int):
         if type(n) is not int or n < 1:
-            raise ValueError(f"n must be a positive int, got {n!r}")
+            raise ValueError(f"n must be a positive int, got {_quoted(n)}")
         m = n + 1
         vertex_count = 2 * n + 2
         weights = {j: self._weight(n, j) for j in range(1, vertex_count + 1)}
@@ -110,14 +110,14 @@ class QuadricGraph:
 
     def antipode(self, i: int) -> int:
         if not 1 <= i <= self.vertex_count:
-            raise ValueError(f"vertex {i} out of range 1..{self.vertex_count}")
+            raise ValueError(f"vertex {_quoted(i)} out of range 1..{self.vertex_count}")
         return self.vertex_count + 1 - i
 
     def vertex_weight(self, j: int) -> Weight:
         try:
             return self._weights[j]
         except KeyError:
-            raise ValueError(f"vertex {j} out of range 1..{self.vertex_count}") from None
+            raise ValueError(f"vertex {_quoted(j)} out of range 1..{self.vertex_count}") from None
 
     def is_admissible(self, members: Iterable[int]) -> bool:
         """Nonempty, in range, and free of antipodal pairs."""

@@ -25,15 +25,15 @@ generator identities, runs family 1 exhaustively up to a size bound and on
 `RANDOM_FAMILY_COUNT` seeded random families, and yields one `CheckRecord`
 per instance (checks never raise on a failed identity, only on malformed
 parameters).  `ClassProvider.zero_mask` is the one source of each index
-set's zero mask.  Family 1 is decided from a table built once per sweep,
-which holds each index set's member mask and sorted member list, and, when
-pairs of sets are swept, its zero mask (read from the provider): the prefix
-of a candidate family is ANDed and ORed once, and each last member then
-costs one AND to skip the candidate or one OR to decide it; the random
-families read the provider's zero masks directly.  A family's member lists
-are the table's own, sorted, so the records share one list per index set.
-`check_product_vanishing` is the checked entry point for a single family,
-and the oracle the sweep is tested against.  Callers consume the records as
+set's zero mask.  The exhaustive families of 1 are decided from a table
+built once per sweep, which holds each index set's member mask and sorted
+member list, and, when pairs of sets are swept, its zero mask (read from
+the provider): the prefix of a candidate family is ANDed and ORed once, and
+each last member then costs one AND to skip the candidate or one OR to
+decide it.  The random families are decided by `check_product_vanishing`,
+the checked entry point for a single family and the oracle the sweep is
+tested against.  A family's member lists are the table's own, sorted, so
+the records share one list per index set.  Callers consume the records as
 they come: `RelationStream.chunks` turns them into the report's JSON text,
 `CHUNK_RECORDS` records at a time, and keeps only the counts (a fault in the
 sweep ends the text after the chunks already made, without the summary),
@@ -260,10 +260,11 @@ def iter_checks(
     (admissible P, i in P) with |P| > 1, all admissible I of size n, and all
     distinct empty-intersection families of at most `family_size_bound` index
     sets; plus `RANDOM_FAMILY_COUNT` seeded random families (any size,
-    duplicates allowed).  Families are decided from a table of masks built
-    once per sweep (zero masks only when `family_size_bound` >= 2): the
-    answer of `check_product_vanishing`, without its argument checks.
-    Records share one member list per index set.
+    duplicates allowed).  The exhaustive families are decided from a table
+    of masks built once per sweep (zero masks only when `family_size_bound`
+    >= 2): the answer of `check_product_vanishing`, without its argument
+    checks.  The random families are decided by `check_product_vanishing`
+    itself.  Records share one member list per index set.
     """
     provider = provider or ClassProvider(ctx)
 
@@ -330,13 +331,10 @@ def iter_checks(
         rng = random.Random(seed)
         for _ in range(RANDOM_FAMILY_COUNT):
             family = random_empty_intersection_family(ctx, rng, universe)
-            zeros = 0
-            for j in family:
-                zeros |= provider.zero_mask(j)
             yield CheckRecord(
                 "product_vanishing",
                 {"family": sorted(lists[position[j]] for j in family), "random": True},
-                zeros == full,
+                check_product_vanishing(ctx, family, provider),
             )
 
 
@@ -383,9 +381,7 @@ class RelationStream:
 
         def encode(value, depth: int) -> str:
             """`value` as JSON, its inner lines indented from `depth`."""
-            if pretty:
-                return json.dumps(value, indent=2).replace("\n", nl[depth])
-            return json.dumps(value, separators=(",", ":"))
+            return json.dumps(value, indent=2 if pretty else None, separators=(",", colon)).replace("\n", nl[depth])
 
         def key(name: str, depth: int) -> str:
             return f'{nl[depth]}"{name}"{colon}'

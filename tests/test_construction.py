@@ -1,9 +1,10 @@
-"""The connection and the Thom classes against the constructions they replaced.
+"""The connection and the Thom classes against second constructions.
 
-`derive_connection` finds partners by coset key and `thom_class` multiplies
-memoized edge binomials; `construction_oracles.py` keeps the pairwise
-partner search and the vertex-weight product.  Both must agree exactly,
-errors included, and the Thom memo must stay private to its context.
+`derive_connection` is the pairwise partner search (`integer_multiple_of`
+on every pair of edges) and `thom_class` multiplies memoized edge binomials;
+`construction_oracles.py` keeps the coset-key partner search and the
+vertex-weight product.  Both must agree exactly, errors included, and the
+Thom memo must stay private to its context.
 """
 import random
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import kquadric.gkm as gkm
 import kquadric.quadric as quadric
-from construction_oracles import pairwise_connection, vertex_weight_thom_class
+from construction_oracles import coset_key_connection, vertex_weight_thom_class
 from kquadric.gkm import ConnectionDerivationError, GkmGraph, derive_connection
 from kquadric.quadric import QuadricGraph, thom_class
 
@@ -30,7 +31,7 @@ def outcome(derive, graph):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_connection_matches_the_pairwise_search_on_the_quadric(n):
     graph = QuadricGraph(n).graph
-    assert outcome(derive_connection, graph) == outcome(pairwise_connection, graph)
+    assert outcome(derive_connection, graph) == outcome(coset_key_connection, graph)
     assert outcome(derive_connection, graph)[0] == "ok"
 
 
@@ -90,7 +91,7 @@ def triangle(w12, w13, w23):
 @example(triangle((0, 0), (0, 1), (0, 1)))  # a zero weight
 @example(GkmGraph(1, 2, {(1, 2): (2,), (2, 1): (2,)}))  # no reversal partner
 def test_connection_matches_the_pairwise_search_on_small_graphs(graph):
-    assert outcome(derive_connection, graph) == outcome(pairwise_connection, graph)
+    assert outcome(derive_connection, graph) == outcome(coset_key_connection, graph)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

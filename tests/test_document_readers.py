@@ -1,11 +1,11 @@
 """The two n-keyed document readers: the exact text of each of their errors,
-and input echoed into an error message (by the readers and by `gen
---subset`) quoted to a bounded prefix."""
+and input echoed into an error message (by the readers, by `gen --subset`
+and by the integer flags of the CLI) quoted to a bounded prefix."""
 import json
 
 import pytest
 
-from kquadric.cli import main
+from kquadric.cli import MAX_FAMILY_BOUND_BY_N, MAX_N, MAX_SELFCHECK_N, MAX_TRIALS, main
 from kquadric.decompose import Decomposition
 from kquadric.laurent import LaurentPolynomial, ParseError, from_json_dict, one, to_json_dict, zero
 from kquadric.quadric import QuadricGraph, vertex_map_from_json_dict
@@ -129,23 +129,37 @@ def test_oversized_decomposition_n_is_quoted():
 
 BIG_SUBSET = list(range(1, 20001))
 BIG_SUBSET_TEXT = ",".join(map(str, BIG_SUBSET))
+BIG_INT = int("9" * 3000)
 
 
 @pytest.mark.parametrize(
-    "cls, subset, message",
+    "argv, message",
     [
-        pytest.param("F", BIG_SUBSET_TEXT,
+        pytest.param(["gen", "--n", "1", "--class", "F", "--subset", BIG_SUBSET_TEXT],
                      f"{quoted(BIG_SUBSET)} is neither the complement of a single vertex nor admissible",
                      id="supported"),
-        pytest.param("Delta", BIG_SUBSET_TEXT,
+        pytest.param(["gen", "--n", "1", "--class", "Delta", "--subset", BIG_SUBSET_TEXT],
                      f"{quoted(BIG_SUBSET)} is empty, out of range, or contains an antipodal pair", id="thom"),
-        pytest.param("F", "x" + BIG_SUBSET_TEXT,
+        pytest.param(["gen", "--n", "1", "--class", "F", "--subset", "x" + BIG_SUBSET_TEXT],
                      f"--subset expects comma-separated integers, got {quoted('x' + BIG_SUBSET_TEXT)}",
                      id="not-integers"),
+        pytest.param(["graph", "--n", str(BIG_INT)],
+                     f"--n {quoted(BIG_INT)} exceeds the supported maximum {MAX_N}", id="n"),
+        pytest.param(["graph", "--n", str(-BIG_INT)], f"n must be a positive int, got {quoted(-BIG_INT)}",
+                     id="negative-n"),
+        pytest.param(["gen", "--n", "1", "--class", "M", "--vertex", str(BIG_INT)],
+                     f"vertex {quoted(BIG_INT)} out of range 1..4", id="vertex"),
+        pytest.param(["verify", "--n", "1", "--family-bound", str(BIG_INT)],
+                     f"--family-bound {quoted(BIG_INT)} exceeds the supported maximum {MAX_FAMILY_BOUND_BY_N[1]}",
+                     id="family-bound"),
+        pytest.param(["selfcheck", "--max-n", str(BIG_INT)],
+                     f"--max-n {quoted(BIG_INT)} exceeds the supported maximum {MAX_SELFCHECK_N}", id="max-n"),
+        pytest.param(["selfcheck", "--max-n", "1", "--trials", str(BIG_INT)],
+                     f"--trials {quoted(BIG_INT)} exceeds the supported maximum {MAX_TRIALS}", id="trials"),
     ],
 )
-def test_oversized_subset_is_quoted_in_one_short_line(capsys, cls, subset, message):
-    assert main(["gen", "--n", "1", "--class", cls, "--subset", subset]) == 2
+def test_oversized_subset_is_quoted_in_one_short_line(capsys, argv, message):
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
     assert len(captured.err.encode()) <= 300

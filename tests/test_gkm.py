@@ -152,6 +152,23 @@ def test_derivation_fails_without_candidates():
     assert err.value.kind == "no-candidate"
 
 
+@pytest.mark.parametrize(
+    "diff, base, k",
+    [
+        ((0, 0), (0, 0), 0),
+        ((1, 0), (0, 0), None),
+        ((4, -6), (-2, 3), -2),
+        ((6, 0, -3), (2, 0, -1), 3),
+        ((3, 0), (2, 0), None),  # not divisible at the pivot
+        ((-3, 0), (2, 0), None),
+        ((2, 5), (1, 2), None),  # divisible at the pivot, not elsewhere
+        ((0, 3), (0, -1), -3),  # the pivot is the first nonzero coordinate
+    ],
+)
+def test_integer_multiple_of(diff, base, k):
+    assert integer_multiple_of(diff, base) == k
+
+
 def test_derivation_fails_on_ambiguity():
     # Collinear triangle: several partners match along (1, 2).
     axial = {
