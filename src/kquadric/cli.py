@@ -318,8 +318,25 @@ def _cmd_selfcheck(args) -> int:
     return 0 if doc["pass"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals echo each argument through `_quoted`:
+    exit status 2 and the usage block as argparse gives them, but a huge
+    value is cut to a short prefix.  Short values are echoed unchanged."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._given = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        for text in self._given:
+            short = _quoted(text)
+            if short != repr(text):  # argparse echoes a value either as repr(text) or as text
+                message = message.replace(repr(text), short).replace(text, short)
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kquadric",
         description="Exact K-ring computations on even-dimensional quadric GKM graphs.",
     )

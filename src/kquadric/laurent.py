@@ -31,9 +31,21 @@ package's own loops (`decompose` subtracts from it, `recompose` adds
 products to it).  Its fused operation, acc += sign·h·b, walks the term pairs
 of h and b and writes straight into the accumulator's dict, so neither the
 product nor a copy of the sum is built; `__mul__` runs the same pair loop
-into an empty dict.  It widens by the same rule, for the bound
-max(acc, h + b).  `value()` returns a polynomial over a copy of the terms,
-so no polynomial ever aliases an accumulator.
+into an empty dict, unless one operand is a binomial (below).  It widens by
+the same rule, for the bound max(acc, h + b).  `value()` returns a
+polynomial over a copy of the terms, so no polynomial ever aliases an
+accumulator.
+
+Products by a binomial.  Most products the package builds multiply by one
+binomial 1 - y^alpha: peeling, the Thom memo's chains, `canonical_basis`'s
+running product and `decompose`'s cofactors.  `__mul__` sends an operand
+whose terms are exactly {zero: 1, zero + P(alpha): -1} to the private
+`_times_binomial(p, b)`, which copies p's terms and merges in p's keys
+shifted by P(alpha) with negated coefficients: one Python step per term of
+p, where the pair loop takes two.  Its layout and bound are the pair loop's.
+Called with a key table (the Thom memo's), it takes each shifted key from the
+table as it makes it, so values built through one table from values already
+keyed by it hold one int object per distinct key, with no second pass.
 
 Besides the ring operations the module provides the two division primitives
 everything downstream is built on:
@@ -290,6 +302,10 @@ class LaurentPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if _is_binomial(other):
+            return _times_binomial(self, other)
+        if _is_binomial(self):
+            return _times_binomial(other, self)
         bound = self._bound + other._bound
         layout = _common_layout(self.m, self._layout, other._layout, bound)
         result: dict[int, int] = {}
@@ -352,6 +368,35 @@ def _mul_into(result: dict[int, int], a: dict[int, int], b: dict[int, int], zero
                 result[key] = v
             else:  # c1 * c2 != 0, so a zero sum means the key was present
                 del result[key]
+
+
+def _is_binomial(p: LaurentPolynomial) -> bool:
+    """True iff p is exactly 1 - y^alpha for some alpha != 0."""
+    terms = p._terms
+    return len(terms) == 2 and terms.get(p._layout.zero) == 1 and sum(terms.values()) == 0
+
+
+def _times_binomial(p: LaurentPolynomial, b: LaurentPolynomial, keys: dict[int, int] | None = None) -> LaurentPolynomial:
+    """p * b for a b that `_is_binomial` accepts (see "Products by a
+    binomial" above).  With `keys`, each shifted key is taken from that table
+    (a missing one is added)."""
+    bound = p._bound + b._bound
+    layout = _common_layout(p.m, p._layout, b._layout, bound)
+    terms = _keyed(p, layout)
+    step = sum(_keyed(b, layout)) - 2 * layout.zero  # b's keys are zero and zero + P(alpha)
+    result = dict(terms)
+    get = result.get
+    share = None if keys is None else keys.setdefault
+    for key, c in terms.items():
+        key += step
+        if share:
+            key = share(key, key)
+        v = get(key, 0) - c
+        if v:
+            result[key] = v
+        else:  # c != 0, so a zero sum means the key was present
+            del result[key]
+    return LaurentPolynomial._raw(p.m, result, layout, bound)
 
 
 class _Accumulator:

@@ -27,10 +27,13 @@ assembled:
   a Thom class, which `relations.ClassProvider` assembles from the above.
 
 Each `QuadricGraph` memoizes those products, keyed by (l, set of exit
-vertices): the binomial of every edge is built once, each longer product is
-one binomial times a memoized shorter one (mostly the value of another Thom
-class), equal exponents share one packed-key int, and one zero polynomial
-serves every vertex outside P.  The memo is private to its context and lives
+vertices): the binomial of every edge is built once, and each longer product
+is a memoized shorter one (mostly the value of another Thom class) times
+one memoized edge binomial, by `laurent._times_binomial`.  That kernel
+takes each key it makes from the context's key table, and the edge
+binomials take theirs from it too, so equal exponents share one packed-key
+int with no second pass over any product.  One zero polynomial serves every
+vertex outside P.  The memo is private to its context and lives
 exactly as long as it: two contexts share nothing, and nothing is cached per
 n at module level.
 """
@@ -45,6 +48,7 @@ from .laurent import (
     ParseError,
     _quoted,
     _sharing_keys,
+    _times_binomial,
     from_json_dict,
     monomial,
     one_minus_monomial,
@@ -150,7 +154,7 @@ class QuadricGraph:
         is one, so that the rest is again a Thom-class value at l (that of
         P + {k} when `exits` comes from P) and the memo holds little else.
         Every memoized value takes its packed keys from one table per
-        context, so equal exponents share one int object."""
+        context as they are made, so equal exponents share one int object."""
         memo = self._exit_products
         value = memo.get((l, exits))
         if value is None:
@@ -160,11 +164,12 @@ class QuadricGraph:
                 exits.bit_length(),
             )
             rest = exits ^ 1 << (k - 1)
+            keys = self._exit_keys
             if rest:
-                value = self._exit_product(l, 1 << (k - 1)) * self._exit_product(l, rest)
+                value = _times_binomial(self._exit_product(l, rest), self._exit_product(l, 1 << (k - 1)), keys)
             else:
-                value = one_minus_monomial(self.graph.axial(l, k))
-            value = memo[(l, exits)] = _sharing_keys(value, self._exit_keys)
+                value = _sharing_keys(one_minus_monomial(self.graph.axial(l, k)), keys)
+            memo[(l, exits)] = value
         return value
 
     def __repr__(self) -> str:

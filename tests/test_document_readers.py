@@ -1,6 +1,7 @@
 """The two n-keyed document readers: the exact text of each of their errors,
-and input echoed into an error message (by the readers, by `gen --subset`
-and by the integer flags of the CLI) quoted to a bounded prefix."""
+and input echoed into an error message (by the readers, by `gen --subset`,
+by the integer flags of the CLI and by argparse's own refusals) quoted to a
+bounded prefix."""
 import json
 
 import pytest
@@ -163,6 +164,35 @@ def test_oversized_subset_is_quoted_in_one_short_line(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
     assert len(captured.err.encode()) <= 300
+
+
+BIG_TEXT = str(BIG_INT)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["verify", "--n", "1", "--relations", BIG_TEXT],
+                     f"kquadric verify: error: argument --relations: invalid choice: {quoted(BIG_TEXT)} "
+                     "(choose from 'all', '1', '2', '3', '4')", id="choice"),
+        pytest.param(["gen", "--n", "1", "--class", BIG_TEXT],
+                     f"kquadric gen: error: argument --class: invalid choice: {quoted(BIG_TEXT)} "
+                     "(choose from 'M', 'Minv', 'Delta', 'X', 'F', 'basis')", id="class"),
+        pytest.param(["graph", "--n", "x" + BIG_TEXT],
+                     f"kquadric graph: error: argument --n: invalid int value: {quoted('x' + BIG_TEXT)}", id="int"),
+        pytest.param(["graph", "--n", "1", BIG_TEXT],
+                     f"kquadric: error: unrecognized arguments: {quoted(BIG_TEXT)}", id="unrecognized"),
+    ],
+)
+def test_argparse_refusals_quote_the_echoed_value(capsys, argv, message):
+    """argparse's own refusals keep exit status 2 and the usage block, and cut
+    a huge value as `_quoted` does (short values are echoed unchanged: the
+    golden corpus pins those)."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: kquadric") and captured.err.endswith(f"\n{message}\n")
+    assert len(captured.err.encode()) <= 400
 
 
 @pytest.mark.parametrize("entry", [True, 1.0], ids=["true", "float"])

@@ -112,6 +112,84 @@ def test_ring_operations_match_tuple_oracle(case):
     assert tuple_terms(a * 3) == {e: 3 * c for e, c in A.items()}
 
 
+# -- products by a binomial ---------------------------------------------------------
+
+
+def pair_loop(a, b):
+    """(terms, layout, bound) of a * b by the general pair loop."""
+    bound = a._bound + b._bound
+    layout = laurent._common_layout(a.m, a._layout, b._layout, bound)
+    terms = {}
+    laurent._mul_into(terms, laurent._keyed(a, layout), laurent._keyed(b, layout), layout.zero, 1)
+    return terms, layout, bound
+
+
+def held(p, bound):
+    """p with the tracked bound max(p's, bound), in the narrowest layout for it."""
+    bound = max(p._bound, bound)
+    layout = laurent._layout_for(p.m, bound)
+    return LaurentPolynomial._raw(p.m, laurent._keyed(p, layout), layout, bound)
+
+
+@st.composite
+def binomial_products(draw):
+    """(p, alpha, bound): `operands`' first polynomial and alpha, p sometimes
+    with equal coefficients at some e and e + alpha (which cancel in the
+    product), and a tracked bound to hold 1 - y^alpha at."""
+    m, p, _, alpha = draw(operands())
+    if draw(st.booleans()):
+        e = draw(st.tuples(*[st.integers(-2, 2)] * m))
+        c = draw(st.sampled_from((1, -3)))
+        p = p + monomial(e, c) + monomial(tuple(x + a for x, a in zip(e, alpha)), c)
+    return p, alpha, draw(st.sampled_from((0, 2**15, 2**31 - 1, 2**63)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(binomial_products())
+# The product crosses the 16-, 32- and 64-bit fields: the result must widen.
+@example((monomial((2**15 - 1,)), (1,), 0))
+@example((monomial((2**31 - 1, 0), 3), (1, -1), 0))
+@example((monomial((-(2**63) + 1,)), (-1,), 0))
+# p = 1 + y^alpha: the terms at alpha cancel, leaving 1 - y^(2·alpha).
+@example((one(2) + monomial((2, -1)), (2, -1), 0))
+# The binomial is held wider than p, or its alpha alone makes it wider.
+@example((one(2) + monomial((2, -1)), (2, -1), 2**31))
+@example((zero(3), (0, 2**40, -1), 0))
+def test_products_by_a_binomial_match_the_pair_loop_and_tuple_oracle(case):
+    """p * (1 - y^alpha) and (1 - y^alpha) * p through `_times_binomial`, with
+    and without a key table, equal the pair loop's terms, layout and bound,
+    and the tuple oracle's terms."""
+    p, alpha, bound = case
+    b = held(one_minus_monomial(alpha), bound)
+    assert laurent._is_binomial(b)
+    expected = oracle.mul(tuple_terms(p), tuple_terms(b))
+    for product in (p * b, b * p, laurent._times_binomial(p, b, {})):
+        assert (product._terms, product._layout, product._bound) == pair_loop(p, b)
+        assert tuple_terms(product) == expected
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [one(2) + monomial((1, -1)), 2 - monomial((1, -1)), monomial((1, -1)) - 1, monomial((0, 2)) - monomial((1, -1))],
+    ids=["1+y^a", "2-y^a", "-1+y^a", "y^b-y^a"],
+)
+def test_other_two_term_factors_take_the_pair_loop(monkeypatch, factor):
+    calls = []
+    kernel = laurent._times_binomial
+    monkeypatch.setattr(laurent, "_times_binomial", lambda *args: calls.append(args) or kernel(*args))
+    p = one(2) + monomial((1, -1), 3) + monomial((-2, 5), -1)
+    assert factor.term_count() == 2 and not laurent._is_binomial(factor)
+    expected = oracle.mul(tuple_terms(p), tuple_terms(factor))
+    for product in (p * factor, factor * p):
+        assert (product._terms, product._layout, product._bound) == pair_loop(p, factor)
+        assert tuple_terms(product) == expected
+    assert calls == []
+    binomial = one_minus_monomial((1, -1))  # on either side, it reaches the kernel
+    for product in (p * binomial, binomial * p):
+        assert (product._terms, product._layout, product._bound) == pair_loop(p, binomial)
+    assert len(calls) == 2
+
+
 @settings(max_examples=300, deadline=None)
 @given(operands())
 # Both terms fit 16-bit fields, but the representative (-1, 65530) of the
