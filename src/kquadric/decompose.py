@@ -36,8 +36,12 @@ the least k with a failing edge from k down to a lower neighbour: after the
 stages below k the residual is f minus a K-class and vanishes below k, and
 the binomials of the edges from k down are pairwise coprime in the UFD
 Z[y^±1] (their weights are pairwise independent), so stage k divides exactly
-when f passes the tests of those edges.  `recompose` sums h_k * B_k(v) into
-one accumulator per vertex.
+when f passes the tests of those edges, so a failing call with the shared
+canonical basis runs the K-class test only on the edges at and above the
+stage whose division failed.  `recompose` walks the same frames the other
+way, in Horner form: f(v) = S_0 + d_1 * (S_1 + d_2 * (S_2 + ...)), where
+d_j is v's j-th diagonal binomial and S_j sums h_k times the cofactor of
+each B_k(v) at frame j, so each step multiplies by one binomial.
 """
 from __future__ import annotations
 
@@ -53,6 +57,7 @@ from .laurent import (
     NonDivisibleError,
     ParseError,
     _Accumulator,
+    _horner_sum,
     div_exact_product,
     one,
     to_json_dict,
@@ -133,6 +138,30 @@ class CanonicalBasis:
             stages.append(_Stage(valid, updates))
         return tuple(stages)
 
+    @cached_property
+    def _columns(self) -> tuple[tuple[tuple, ...], ...]:
+        """Per vertex v, `recompose`'s Horner steps, from the frame of all
+        of v's diagonal factors down to frame 0.  The step of frame j is
+        (alpha, products): alpha is the weight of v's diagonal factor j+1
+        (None at the highest frame), and products holds the (k, B_k(v), c)
+        with B_k(v) = D_j(v) * c != 0.  A valid stage places (k, v) at the
+        frame and cofactor of `_stages`; every other nonzero B_k(v) goes to
+        frame 0 with c = B_k(v).  Built on first use, like `_stages`."""
+        columns = [[[] for _ in range(len(alphas) + 1)] for alphas in self.diagonal_factors]
+        for k, (b, stage) in enumerate(zip(self.classes, self._stages), start=1):
+            placed = {}
+            if stage.valid:
+                placed = {v: (j, cofactors[j]) for v, j, cofactors in stage.updates}
+                placed[k] = (len(self.diagonal_factors[k - 1]), one(b[k].m))
+            for v, frames in enumerate(columns, start=1):
+                if not b[v].is_zero():
+                    j, c = placed.get(v, (0, b[v]))
+                    frames[j].append((k, b[v], c))
+        return tuple(
+            tuple(zip(reversed((*alphas, None)), map(tuple, reversed(frames))))
+            for frames, alphas in zip(columns, self.diagonal_factors)
+        )
+
 
 def canonical_basis(ctx: QuadricGraph) -> CanonicalBasis:
     n = ctx.n
@@ -197,7 +226,8 @@ def decompose(ctx: QuadricGraph, f: VertexMap, basis: CanonicalBasis | None = No
     Without `basis`, the canonical basis of `ctx.n` is built once and reused.
     """
     f._check_shape(ctx.vertices, ctx.m)
-    if basis is None:
+    shared = basis is None
+    if shared:
         basis = _shared_basis(ctx.n)
     factors = basis.diagonal_factors
     residual = {v: _Accumulator(f[v]) for v in ctx.vertices}
@@ -222,7 +252,10 @@ def decompose(ctx: QuadricGraph, f: VertexMap, basis: CanonicalBasis | None = No
                 cofactor = cofactors[j]
                 acc.subtract(h_k if cofactor.is_one() else h_k * cofactor)
     except NonDivisibleError as exc:
-        report = is_k_class(ctx.graph, f)
+        # The stages below k succeeded, so f agrees below k with a combination
+        # of basis classes; when those are K-classes (the shared canonical
+        # basis), every edge below k passes and only the others are tested.
+        report = is_k_class(ctx.graph, f, k if shared else 1)
         if report.ok:
             raise RuntimeError(f"exact division failed at stage {k} on a K-class: the basis is not flow-up") from exc
         first = min(max(edge) for edge in report.failing_edges)
@@ -236,7 +269,17 @@ def decompose(ctx: QuadricGraph, f: VertexMap, basis: CanonicalBasis | None = No
 
 
 def recompose(ctx: QuadricGraph, coefficients, basis: CanonicalBasis | None = None) -> VertexMap:
-    """Sum h_k * B_k; always a K-class."""
+    """Sum h_k * B_k; always a K-class.
+
+    At each vertex v the sum is f(v) = S_0 + d_1 * (S_1 + d_2 * (S_2 + ...)),
+    with d_j = 1 - y^alpha_j over v's diagonal factors and S_j the sum of
+    h_k * c over the (k, B_k(v), c) that `_columns` places at frame j.  Each
+    vertex is laid out once, as the expanded sum of h_k * B_k(v) would be:
+    every partial sum is a sum of h_k times a divisor of B_k(v), whose Newton
+    polytope lies inside B_k(v)'s (each d_j has 0 in its own), so every
+    partial sum and every shifted key that is kept or cancels stays inside
+    that bound.
+    """
     if isinstance(coefficients, Decomposition):
         coefficients = coefficients.coefficients
     coefficients = tuple(coefficients)
@@ -246,13 +289,12 @@ def recompose(ctx: QuadricGraph, coefficients, basis: CanonicalBasis | None = No
         )
     if basis is None:
         basis = _shared_basis(ctx.n)
-    sums = {v: _Accumulator(zero(ctx.m)) for v in ctx.vertices}
-    for h_k, b_k in zip(coefficients, basis.classes):
-        if not h_k.is_zero():
-            for v, acc in sums.items():
-                if not b_k[v].is_zero():
-                    acc.add_product(h_k, b_k[v])
-    return VertexMap({v: acc.value() for v, acc in sums.items()})
+    nonzero = {k: h for k, h in enumerate(coefficients, start=1) if h}
+    values = {}
+    for v, steps in zip(ctx.vertices, basis._columns):
+        live = [(alpha, [(nonzero[k], b, c) for k, b, c in products if k in nonzero]) for alpha, products in steps]
+        values[v] = _horner_sum(ctx.m, live)
+    return VertexMap(values)
 
 
 # -- seeded random material for the certification sweep -----------------------

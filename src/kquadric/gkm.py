@@ -393,7 +393,7 @@ class KClassReport:
         return self.ok
 
 
-def is_k_class(graph: GkmGraph, vm: VertexMap) -> KClassReport:
+def is_k_class(graph: GkmGraph, vm: VertexMap, upper_from: int = 1) -> KClassReport:
     """Decide whether the vertex map is a K-class.
 
     For every edge {i, j} the difference vm[i] - vm[j] must be divisible by
@@ -402,12 +402,16 @@ def is_k_class(graph: GkmGraph, vm: VertexMap) -> KClassReport:
     passes untested; otherwise the two values are summed by coset of
     Z·weight(i, j) (`laurent._difference_divisible`), without building their
     difference.  A zero weight raises ValueError once an edge with two
-    different values meets it.  All failing edges are reported.
+    different values meets it.  All failing edges are reported.  Only the
+    edges {i, j} with max(i, j) >= `upper_from` are tested; the default
+    tests every edge.
     """
     vm._check_shape(graph.vertices, graph.m)
     failing = []
     values = vm.values
-    for i, j, alpha in graph._divisors:
+    for i, j, alpha in graph._divisors:  # i < j
+        if j < upper_from:
+            continue
         a, b = values[i], values[j]
         if a == b:
             continue

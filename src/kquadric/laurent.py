@@ -26,23 +26,24 @@ Layouts widen from these tracked bounds only, never by re-measuring an
 operand.  Widths run 16, 32, 64, ... bits, an operation between two widths
 repacks the narrower operand, and `==` compares across widths.
 
-In-place sums.  The private `_Accumulator` is a mutable running sum for the
-package's own loops (`decompose` subtracts from it, `recompose` adds
-products to it).  Its fused operation, acc += sign·h·b, walks the term pairs
-of h and b and writes straight into the accumulator's dict, so neither the
-product nor a copy of the sum is built; `__mul__` runs the same pair loop
-into an empty dict, unless one operand is a binomial (below).  It widens by
-the same rule, for the bound max(acc, h + b).  `value()` returns a
-polynomial over a copy of the terms, so no polynomial ever aliases an
-accumulator.
+In-place sums.  The private `_Accumulator` is a mutable running sum for
+`decompose`'s residuals: `subtract` merges a polynomial straight into its
+dict, widening by the same rule, and `value()` returns a polynomial over a
+copy of the terms, so no polynomial ever aliases an accumulator.
+`recompose` sums each vertex in Horner form with `_horner_sum`, in one dict
+laid out once: each step multiplies the running sum by a binomial in place
+of the pair loop, by the shift-and-merge below, and then adds products h·c
+whose c is 1 (a merge), a binomial (a merge and a shifted merge) or, rarely,
+anything else (the pair loop `__mul__` runs).
 
 Products by a binomial.  Most products the package builds multiply by one
 binomial 1 - y^alpha: peeling, the Thom memo's chains, `canonical_basis`'s
 running product and `decompose`'s cofactors.  `__mul__` sends an operand
 whose terms are exactly {zero: 1, zero + P(alpha): -1} to the private
 `_times_binomial(p, b)`, which copies p's terms and merges in p's keys
-shifted by P(alpha) with negated coefficients: one Python step per term of
-p, where the pair loop takes two.  Its layout and bound are the pair loop's.
+shifted by P(alpha) with negated coefficients (`_subtract_shifted`, the
+merge `_horner_sum` shares): one Python step per term of p, where the pair
+loop takes two.  Its layout and bound are the pair loop's.
 Called with a key table (the Thom memo's), it takes each shifted key from the
 table as it makes it, so values built through one table from values already
 keyed by it hold one int object per distinct key, with no second pass.
@@ -170,7 +171,8 @@ def _common_layout(m: int, a: _Layout, b: _Layout, bound: int) -> _Layout:
 
 def _keyed(p, layout: _Layout) -> dict[int, int]:
     """The terms of p (a polynomial or an accumulator) keyed in `layout`,
-    which must be at least as wide as p's."""
+    whose fields must hold every exponent of p (as they do when it is at
+    least as wide as p's)."""
     if p._layout is layout:
         return p._terms
     unpack, pack = p._layout.unpack, layout.pack
@@ -376,15 +378,11 @@ def _is_binomial(p: LaurentPolynomial) -> bool:
     return len(terms) == 2 and terms.get(p._layout.zero) == 1 and sum(terms.values()) == 0
 
 
-def _times_binomial(p: LaurentPolynomial, b: LaurentPolynomial, keys: dict[int, int] | None = None) -> LaurentPolynomial:
-    """p * b for a b that `_is_binomial` accepts (see "Products by a
-    binomial" above).  With `keys`, each shifted key is taken from that table
-    (a missing one is added)."""
-    bound = p._bound + b._bound
-    layout = _common_layout(p.m, p._layout, b._layout, bound)
-    terms = _keyed(p, layout)
-    step = sum(_keyed(b, layout)) - 2 * layout.zero  # b's keys are zero and zero + P(alpha)
-    result = dict(terms)
+def _subtract_shifted(result: dict[int, int], terms: dict[int, int], step: int, keys: dict[int, int] | None = None) -> None:
+    """result -= y^alpha * terms, on packed keys of one layout whose fields
+    hold every shifted exponent that is kept or cancels a kept one; `step` is
+    P(alpha) in that layout.  With `keys`, each shifted key is taken from
+    that table (a missing one is added)."""
     get = result.get
     share = None if keys is None else keys.setdefault
     for key, c in terms.items():
@@ -396,6 +394,57 @@ def _times_binomial(p: LaurentPolynomial, b: LaurentPolynomial, keys: dict[int, 
             result[key] = v
         else:  # c != 0, so a zero sum means the key was present
             del result[key]
+
+
+def _binomial_step(b: LaurentPolynomial, layout: _Layout) -> int:
+    """P(alpha) in `layout` for a b = 1 - y^alpha that `_is_binomial` accepts."""
+    return sum(_keyed(b, layout)) - 2 * layout.zero  # b's keys are zero and zero + P(alpha)
+
+
+def _horner_sum(m: int, steps) -> LaurentPolynomial:
+    """The sum in Horner form that `steps` gives, laid out once.
+
+    Each step (alpha, products) multiplies the running sum by 1 - y^alpha
+    (not when alpha is None or the sum is empty), then adds h * c for each
+    (h, b, c) of products: c of 1 merges h, a binomial merges h and its
+    shifted copy, any other c takes the pair loop.  The steps must add up to
+    the expanded sum of every h * b, with every running sum a sum of h
+    times b divided by binomials still to be multiplied in.  b is read only
+    for the layout, which is the one `_common_layout` gives that expanded
+    sum, for the bound max(h._bound + b._bound): each binomial has 0 in its
+    Newton polytope, so every exponent kept, and every shifted one that
+    cancels a kept one, lies within that bound.
+    """
+    products = [product for _, step_products in steps for product in step_products]
+    bound = max((h._bound + b._bound for h, b, _ in products), default=0)
+    width = max([_layout_for(m, bound).width] + [p._layout.width for h, b, _ in products for p in (h, b)])
+    layout = _layout(m, width)
+    terms: dict[int, int] = {}
+    for alpha, step_products in steps:
+        if alpha is not None and terms:
+            previous, terms = terms, dict(terms)
+            _subtract_shifted(terms, previous, layout.offset(alpha))
+        for h, _, c in step_products:
+            h_terms = _keyed(h, layout)
+            if c.is_one():
+                _merge_into(terms, h_terms, 1)
+            elif _is_binomial(c):
+                _merge_into(terms, h_terms, 1)
+                _subtract_shifted(terms, h_terms, _binomial_step(c, layout))
+            else:
+                _mul_into(terms, h_terms, _keyed(c, layout), layout.zero, 1)
+    return LaurentPolynomial._raw(m, terms, layout, bound)
+
+
+def _times_binomial(p: LaurentPolynomial, b: LaurentPolynomial, keys: dict[int, int] | None = None) -> LaurentPolynomial:
+    """p * b for a b that `_is_binomial` accepts (see "Products by a
+    binomial" above).  With `keys`, each shifted key is taken from that table
+    (a missing one is added)."""
+    bound = p._bound + b._bound
+    layout = _common_layout(p.m, p._layout, b._layout, bound)
+    terms = _keyed(p, layout)
+    result = dict(terms)
+    _subtract_shifted(result, terms, _binomial_step(b, layout), keys)
     return LaurentPolynomial._raw(p.m, result, layout, bound)
 
 
@@ -426,12 +475,6 @@ class _Accumulator:
         """self -= p, merged into the running sum's dict."""
         layout = self._fit(p._layout, max(self._bound, p._bound))
         _merge_into(self._terms, _keyed(p, layout), -1)
-
-    def add_product(self, h: LaurentPolynomial, b: LaurentPolynomial, sign: int = 1) -> None:
-        """self += sign * h * b, without building the product."""
-        bound = h._bound + b._bound
-        layout = self._fit(_common_layout(self.m, h._layout, b._layout, bound), max(self._bound, bound))
-        _mul_into(self._terms, _keyed(h, layout), _keyed(b, layout), layout.zero, sign)
 
     def value(self) -> LaurentPolynomial:
         return LaurentPolynomial._raw(self.m, dict(self._terms), self._layout, self._bound)

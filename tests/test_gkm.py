@@ -233,6 +233,18 @@ def test_indicator_map_fails_with_edge_report(q1):
     assert report.failing_edges == ((1, 2), (1, 3))
 
 
+def test_k_class_test_from_an_upper_end_tests_only_those_edges(q2):
+    # The constant v at each vertex v: every difference is a nonzero
+    # constant, so every edge fails; from u on, the report holds exactly the
+    # edges whose larger end is at least u.
+    f = VertexMap({v: monomial((0, 0, 0), v) for v in q2.vertices})
+    edges = is_k_class(q2.graph, f).failing_edges
+    assert edges == tuple(q2.graph.unordered_edges())
+    for u in q2.vertices:
+        assert is_k_class(q2.graph, f, u).failing_edges == tuple(e for e in edges if max(e) >= u)
+    assert is_k_class(q2.graph, f, q2.vertex_count + 1)
+
+
 def test_k_class_requires_total_map(q1):
     with pytest.raises(ValueError):
         is_k_class(q1.graph, VertexMap({1: one(2), 2: one(2)}))

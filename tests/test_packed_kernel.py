@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import kquadric
 import tuple_laurent as oracle
 from kquadric import laurent
+from vertexmap_decompose import add_product
 from kquadric.laurent import (
     LaurentPolynomial,
     NonDivisibleError,
@@ -496,7 +497,7 @@ def test_accumulator_lays_out_three_operands_of_every_width(widths, data):
     S, H, B = map(tuple_terms, (start, h, b))
     sign = data.draw(st.sampled_from((1, -1)))
     acc = _Accumulator(start)
-    acc.add_product(h, b, sign)
+    add_product(acc, h, b, sign)
     expected = oracle.add(S, oracle.mul(H, B), sign)
     assert tuple_terms(acc.value()) == expected
     acc.subtract(h)

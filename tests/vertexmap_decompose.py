@@ -5,12 +5,17 @@ accumulator per vertex: every stage subtracts the vertex map B_k * h_k from
 the residual map, building each product and copying every vertex value, and
 recompose adds the maps B_k * h_k one by one.  Errors are raised exactly as
 the library raises them, so a test can compare stages and failing edges.
+
+`expanded_recompose` is how `kquadric.decompose.recompose` computed before it
+walked the division frames: one accumulator per vertex, and h_k * B_k(v)
+added to it for every k by `add_product`, the accumulator's former fused
+product.  Its layouts and bounds are the ones the library's values must keep.
 """
 from __future__ import annotations
 
 from kquadric.decompose import NotAKClassError
 from kquadric.gkm import VertexMap, is_k_class
-from kquadric.laurent import NonDivisibleError, div_exact_product, zero
+from kquadric.laurent import NonDivisibleError, _Accumulator, _common_layout, _keyed, _mul_into, div_exact_product, zero
 
 
 def decompose(ctx, f: VertexMap, basis) -> tuple:
@@ -43,3 +48,21 @@ def recompose(ctx, coefficients, basis) -> VertexMap:
         if not h_k.is_zero():
             result = result + b_k * h_k
     return result
+
+
+def add_product(acc: _Accumulator, h, b, sign: int = 1) -> None:
+    """acc += sign * h * b by the pair loop, widening acc by the rule its
+    `subtract` follows, for the bound max(acc, h + b)."""
+    bound = h._bound + b._bound
+    layout = acc._fit(_common_layout(acc.m, h._layout, b._layout, bound), max(acc._bound, bound))
+    _mul_into(acc._terms, _keyed(h, layout), _keyed(b, layout), layout.zero, sign)
+
+
+def expanded_recompose(ctx, coefficients, basis) -> VertexMap:
+    sums = {v: _Accumulator(zero(ctx.m)) for v in ctx.vertices}
+    for h_k, b_k in zip(coefficients, basis.classes):
+        if not h_k.is_zero():
+            for v, acc in sums.items():
+                if not b_k[v].is_zero():
+                    add_product(acc, h_k, b_k[v])
+    return VertexMap({v: acc.value() for v, acc in sums.items()})
