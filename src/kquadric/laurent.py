@@ -32,9 +32,9 @@ dict, widening by the same rule, and `value()` returns a polynomial over a
 copy of the terms, so no polynomial ever aliases an accumulator.
 `recompose` sums each vertex in Horner form with `_horner_sum`, in one dict
 laid out once: each step multiplies the running sum by a binomial in place
-of the pair loop, by the shift-and-merge below, and then adds products h·c
-whose c is 1 (a merge), a binomial (a merge and a shifted merge) or, rarely,
-anything else (the pair loop `__mul__` runs).
+of the pair loop, by the shift-and-merge below, and then adds each product
+h·c with the pair loop `__mul__` runs (c is mostly 1 or one binomial, so
+that is one or two steps per term of h).
 
 Products by a binomial.  Most products the package builds multiply by one
 binomial 1 - y^alpha: peeling, the Thom memo's chains, `canonical_basis`'s
@@ -396,18 +396,12 @@ def _subtract_shifted(result: dict[int, int], terms: dict[int, int], step: int, 
             del result[key]
 
 
-def _binomial_step(b: LaurentPolynomial, layout: _Layout) -> int:
-    """P(alpha) in `layout` for a b = 1 - y^alpha that `_is_binomial` accepts."""
-    return sum(_keyed(b, layout)) - 2 * layout.zero  # b's keys are zero and zero + P(alpha)
-
-
 def _horner_sum(m: int, steps) -> LaurentPolynomial:
     """The sum in Horner form that `steps` gives, laid out once.
 
     Each step (alpha, products) multiplies the running sum by 1 - y^alpha
     (not when alpha is None or the sum is empty), then adds h * c for each
-    (h, b, c) of products: c of 1 merges h, a binomial merges h and its
-    shifted copy, any other c takes the pair loop.  The steps must add up to
+    (h, b, c) of products by the pair loop.  The steps must add up to
     the expanded sum of every h * b, with every running sum a sum of h
     times b divided by binomials still to be multiplied in.  b is read only
     for the layout, which is the one `_common_layout` gives that expanded
@@ -425,14 +419,7 @@ def _horner_sum(m: int, steps) -> LaurentPolynomial:
             previous, terms = terms, dict(terms)
             _subtract_shifted(terms, previous, layout.offset(alpha))
         for h, _, c in step_products:
-            h_terms = _keyed(h, layout)
-            if c.is_one():
-                _merge_into(terms, h_terms, 1)
-            elif _is_binomial(c):
-                _merge_into(terms, h_terms, 1)
-                _subtract_shifted(terms, h_terms, _binomial_step(c, layout))
-            else:
-                _mul_into(terms, h_terms, _keyed(c, layout), layout.zero, 1)
+            _mul_into(terms, _keyed(h, layout), _keyed(c, layout), layout.zero, 1)
     return LaurentPolynomial._raw(m, terms, layout, bound)
 
 
@@ -443,8 +430,9 @@ def _times_binomial(p: LaurentPolynomial, b: LaurentPolynomial, keys: dict[int, 
     bound = p._bound + b._bound
     layout = _common_layout(p.m, p._layout, b._layout, bound)
     terms = _keyed(p, layout)
+    step = sum(_keyed(b, layout)) - 2 * layout.zero  # b's keys are zero and zero + P(alpha)
     result = dict(terms)
-    _subtract_shifted(result, terms, _binomial_step(b, layout), keys)
+    _subtract_shifted(result, terms, step, keys)
     return LaurentPolynomial._raw(p.m, result, layout, bound)
 
 
